@@ -41,7 +41,8 @@ curveFor(uint32_t smt_ways, const bench::Args &args)
         options.push_back(opt);
     }
     const std::vector<SystemResult> results = runWorkloadSweep(
-        prof, PlatformConfig::plt1(), options, bench::sweepControl(args));
+        prof, PlatformConfig::plt1(), options,
+        bench::sweepControl(args, recordBudget(options[0]).total()));
     HitRateCurve curve;
     for (size_t i = 0; i < paper_sizes.size(); ++i)
         curve.addPoint(paper_sizes[i], results[i].l3DataHitRate());

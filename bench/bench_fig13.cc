@@ -120,8 +120,9 @@ runFig13(const bench::Args &args)
     }
     json.add("scaled_measure_records", recordBudget(options[0]).measure);
     json.add("scaled_warmup_records", recordBudget(options[0]).warmup);
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt1, options, bench::sweepControl(args));
+    const std::vector<SystemResult> results = runWorkloadSweep(
+        prof, plt1, options,
+        bench::sweepControl(args, recordBudget(options[0]).total()));
     printTable(prof, sizes, results, false);
     std::printf("\nPaper: a 1 GiB L4 captures most heap locality; "
                 "remaining misses are mostly shard; ~50%% of DRAM "

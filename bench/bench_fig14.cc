@@ -88,8 +88,9 @@ runFig14(const bench::Args &args)
         syn.l4 = cache_gen_victim((1 * GiB) / scale, 64);
         options.push_back(syn);
     }
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(sweep, plt1, options, bench::sweepControl(args));
+    const std::vector<SystemResult> results = runWorkloadSweep(
+        sweep, plt1, options,
+        bench::sweepControl(args, recordBudget(options[0]).total()));
 
     // 1. L3 behaviour at the two designs (sweep scale).
     const NativePoint base45 = nativePoint(results[0]);

@@ -10,6 +10,7 @@
  * machine (the paper notes the impact is small).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -31,6 +32,7 @@ runFig2a(const bench::Args &args)
                                                48, 56, 64, 72};
     std::vector<uint32_t> per_socket_counts;
     std::vector<RunOptions> options;
+    uint64_t max_records = 0;
     for (const uint32_t cores : core_counts) {
         // Sockets are share-nothing for search (disjoint threads,
         // private 45 MiB L3 per socket): simulate one socket's share
@@ -41,9 +43,11 @@ runFig2a(const bench::Args &args)
         per_socket_counts.push_back(per_socket);
         options.push_back(bench::baseOptions(
             per_socket, 2'000'000ull * per_socket));
+        max_records =
+            std::max(max_records, recordBudget(options.back()).total());
     }
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt1, options, bench::sweepControl(args));
+    const std::vector<SystemResult> results = runWorkloadSweep(
+        prof, plt1, options, bench::sweepControl(args, max_records));
 
     Table t({"Cores", "Cores/socket", "Per-thread IPC",
              "Normalized QPS", "Scaling efficiency"});

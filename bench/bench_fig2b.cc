@@ -39,8 +39,9 @@ runPlatform(const PlatformConfig &plt, const std::vector<uint32_t> &smt,
         opt.smtWays = ways;
         options.push_back(opt);
     }
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt, options, bench::sweepControl(args));
+    const std::vector<SystemResult> results = runWorkloadSweep(
+        prof, plt, options,
+        bench::sweepControl(args, recordBudget(options.back()).total()));
 
     double base_core_ipc = 0;
     for (size_t i = 0; i < smt.size(); ++i) {

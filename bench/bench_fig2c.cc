@@ -40,7 +40,8 @@ runFig2c(const bench::Args &args)
         const std::vector<SystemResult> results =
             runWorkloadSweep(WorkloadProfile::s1Leaf(), plt,
                              {base, huge, pf_on},
-                             bench::sweepControl(args));
+                             bench::sweepControl(
+                                 args, recordBudget(base).total()));
         auto qps = [&](const SystemResult &r) {
             return base.cores * r.ipcPerThread;
         };

@@ -19,11 +19,12 @@ runFig3(const bench::Args &args)
 {
     bench::banner(args, "Figure 3",
                   "Top-Down breakdown of an S1 leaf on PLT1");
+    const RunOptions opt = bench::baseOptions(16, 24'000'000);
     const SystemResult r =
         runWorkloadSweep(WorkloadProfile::s1Leaf(),
-                         PlatformConfig::plt1(),
-                         {bench::baseOptions(16, 24'000'000)},
-                         bench::sweepControl(args))
+                         PlatformConfig::plt1(), {opt},
+                         bench::sweepControl(
+                             args, recordBudget(opt).total()))
             .front();
     const TopDown &td = r.topdown;
 

@@ -24,7 +24,8 @@ runFig6a(const bench::Args &args)
     const SystemResult r =
         runWorkloadSweep(WorkloadProfile::s1Leaf(),
                          PlatformConfig::plt1(), {opt},
-                         bench::sweepControl(args))
+                         bench::sweepControl(
+                             args, recordBudget(opt).total()))
             .front();
     const uint64_t instr = r.instructions;
     const CacheLevelStats l1 = [&] {

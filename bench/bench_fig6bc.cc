@@ -204,8 +204,9 @@ runFig6bc(const bench::Args &args)
     }
     json.add("scaled_measure_records", recordBudget(options[0]).measure);
     json.add("scaled_warmup_records", recordBudget(options[0]).warmup);
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt1, options, bench::sweepControl(args));
+    const std::vector<SystemResult> results = runWorkloadSweep(
+        prof, plt1, options,
+        bench::sweepControl(args, recordBudget(options[0]).total()));
     printSweepTable(prof, sizes, results, false);
     std::printf("\nPaper landmarks: code misses vanish by 16 MiB; "
                 "heap hit ~95%% at 1 GiB; shard ~50%% at 2 GiB; "

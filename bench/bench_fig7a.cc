@@ -52,8 +52,9 @@ runFig7a(const bench::Args &args)
     const std::vector<RunOptions> options = {
         with_ways(8, 8, 20), with_ways(512, 8, 20),
         with_ways(8, 512, 20), with_ways(8, 8, 64)};
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt, options, bench::sweepControl(args));
+    const std::vector<SystemResult> results = runWorkloadSweep(
+        prof, plt, options,
+        bench::sweepControl(args, recordBudget(options[0]).total()));
     auto mpki = [](const SystemResult &r) -> LevelMpki {
         const uint64_t i = r.instructions;
         return {r.l1i.mpkiTotal(i), r.l1d.mpkiTotal(i),

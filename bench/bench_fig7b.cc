@@ -27,10 +27,9 @@ runFig7b(const bench::Args &args)
         opt.blockBytes = block;
         options.push_back(opt);
     }
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(WorkloadProfile::s1Leaf(),
-                         PlatformConfig::plt1(), options,
-                         bench::sweepControl(args));
+    const std::vector<SystemResult> results = runWorkloadSweep(
+        WorkloadProfile::s1Leaf(), PlatformConfig::plt1(), options,
+        bench::sweepControl(args, recordBudget(options[0]).total()));
 
     Table t({"Block", "L1-I MPKI", "L1-D MPKI", "L2 MPKI", "L3 MPKI"});
     for (size_t j = 0; j < blocks.size(); ++j) {

@@ -113,8 +113,9 @@ runFig8(const bench::Args &args)
     }
     json.add("scaled_measure_records", recordBudget(options[0]).measure);
     json.add("scaled_warmup_records", recordBudget(options[0]).warmup);
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt1, options, bench::sweepControl(args));
+    const std::vector<SystemResult> results = runWorkloadSweep(
+        prof, plt1, options,
+        bench::sweepControl(args, recordBudget(options[0]).total()));
     printWayTable(plt1, way_counts, results, false);
 
     std::vector<double> amats, ipcs;

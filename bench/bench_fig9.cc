@@ -91,8 +91,9 @@ runFig9(const bench::Args &args)
     }
     json.add("scaled_measure_records", recordBudget(options[0]).measure);
     json.add("scaled_warmup_records", recordBudget(options[0]).warmup);
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt1, options, bench::sweepControl(args));
+    const std::vector<SystemResult> results = runWorkloadSweep(
+        prof, plt1, options,
+        bench::sweepControl(args, recordBudget(options[0]).total()));
 
     Table t({"Cores", "L3 ways", "L3 MiB", "MiB/core",
              "Area (L3-eq MiB)", "Norm. QPS"});

@@ -9,14 +9,6 @@
  *
  * Every (capacity, variant) cell lands in BENCH_replacement.json with
  * exact counters for bench_diff.py to gate.
- *
- * The binary is also the legacy-compat gate: three representative
- * configurations are run twice, once through a hand-assembled
- * cache_gen_* HierarchySpec and once through the monolithic
- * HierarchyConfig mapped by HierarchySpec::fromLegacy. Any counter
- * mismatch makes the binary exit nonzero (mirroring bench_sweep's
- * serial-vs-parallel oracle), so CI proves the redesigned API is
- * bit-identical to the old one.
  */
 
 #include <cstdio>
@@ -24,7 +16,6 @@
 #include <vector>
 
 #include "common.hh"
-#include "trace/synthetic.hh"
 #include "util/table.hh"
 
 namespace wsearch {
@@ -44,104 +35,6 @@ constexpr Variant kVariants[] = {
     {"inclusive", ReplPolicy::LRU, InclusionMode::Inclusive},
     {"exclusive", ReplPolicy::LRU, InclusionMode::Exclusive},
 };
-
-/** Exact counter equality between the two construction routes. */
-bool
-identicalRuns(const SystemResult &a, const SystemResult &b)
-{
-    auto differ = [](const char *what, uint64_t x, uint64_t y) {
-        if (x == y)
-            return false;
-        std::printf("COMPAT MISMATCH %s: %llu != %llu\n", what,
-                    static_cast<unsigned long long>(x),
-                    static_cast<unsigned long long>(y));
-        return true;
-    };
-    if (differ("instructions", a.instructions, b.instructions) ||
-        differ("l3Evictions", a.l3Evictions, b.l3Evictions) ||
-        differ("writebacks", a.writebacks, b.writebacks) ||
-        differ("backInvalidations", a.backInvalidations,
-               b.backInvalidations) ||
-        differ("cohUpgrades", a.cohUpgrades, b.cohUpgrades) ||
-        differ("cohInvalidations", a.cohInvalidations,
-               b.cohInvalidations))
-        return false;
-    const CacheLevelStats *as[] = {&a.l1i, &a.l1d, &a.l2, &a.l3, &a.l4};
-    const CacheLevelStats *bs[] = {&b.l1i, &b.l1d, &b.l2, &b.l3, &b.l4};
-    for (int lvl = 0; lvl < 5; ++lvl)
-        for (uint32_t k = 0; k < kNumAccessKinds; ++k)
-            if (differ("cache accesses", as[lvl]->accesses[k],
-                       bs[lvl]->accesses[k]) ||
-                differ("cache misses", as[lvl]->misses[k],
-                       bs[lvl]->misses[k]))
-                return false;
-    return true;
-}
-
-SystemResult
-oracleRun(const HierarchySpec &spec)
-{
-    SystemConfig cfg;
-    cfg.hierarchy = spec;
-    SyntheticSearchTrace trace(WorkloadProfile::s1Leaf(),
-                               spec.numCores * spec.smtWays);
-    SystemSimulator sim(cfg);
-    return sim.run(trace, 400'000, 800'000);
-}
-
-/**
- * Run three representative configurations through both construction
- * routes and demand bit-identical counters.
- */
-bool
-legacyCompatGate()
-{
-    std::printf("--- Legacy-config compat oracle ---\n");
-    bool all_ok = true;
-    auto check = [&](const char *name, const HierarchySpec &gen,
-                     const HierarchyConfig &legacy) {
-        const bool ok = identicalRuns(
-            oracleRun(gen), oracleRun(HierarchySpec::fromLegacy(legacy)));
-        std::printf("  %-16s %s\n", name, ok ? "identical" : "DIFFERS");
-        all_ok = all_ok && ok;
-    };
-
-    { // Plain shared-LLC hierarchy.
-        HierarchySpec gen;
-        gen.numCores = 4;
-        gen.llc = cache_gen_llc(1 * MiB, 64, 16);
-        HierarchyConfig legacy;
-        legacy.numCores = 4;
-        legacy.l3 = {1 * MiB, 64, 16};
-        check("plain", gen, legacy);
-    }
-    { // Inclusive LLC with a CAT partition (paper §III-D setup).
-        HierarchySpec gen;
-        gen.numCores = 4;
-        gen.llc = cache_gen_llc(1 * MiB, 64, 16, ReplPolicy::LRU,
-                                InclusionMode::Inclusive, 1, 4);
-        HierarchyConfig legacy;
-        legacy.numCores = 4;
-        legacy.l3 = {1 * MiB, 64, 16};
-        legacy.l3.partitionWays = 4;
-        legacy.inclusiveL3 = true;
-        check("inclusive+cat", gen, legacy);
-    }
-    { // SRRIP LLC with a memory-side victim L4 behind it.
-        HierarchySpec gen;
-        gen.numCores = 4;
-        gen.llc = cache_gen_llc(1 * MiB, 64, 16, ReplPolicy::SRRIP);
-        gen.l4 = cache_gen_victim(4 * MiB, 64);
-        HierarchyConfig legacy;
-        legacy.numCores = 4;
-        legacy.l3 = {1 * MiB, 64, 16};
-        legacy.l3.repl = ReplPolicy::SRRIP;
-        legacy.l4 = cache_gen_victim(4 * MiB, 64);
-        check("srrip+l4", gen, legacy);
-    }
-    std::printf("\n");
-    return all_ok;
-}
 
 int
 runReplacement(const bench::Args &args)
@@ -168,10 +61,9 @@ runReplacement(const bench::Args &args)
             options.push_back(opt);
         }
     }
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt1, options, bench::sweepControl(args));
-
-    const bool compat_ok = legacyCompatGate();
+    const std::vector<SystemResult> results = runWorkloadSweep(
+        prof, plt1, options,
+        bench::sweepControl(args, recordBudget(options[0]).total()));
 
     bench::JsonWriter json;
     bench::beginStandardJson(json, "replacement", args.smoke);
@@ -202,22 +94,12 @@ runReplacement(const bench::Args &args)
         t.addRow(row);
     }
     json.endArray();
-    json.add("compat_identical",
-             static_cast<uint64_t>(compat_ok ? 1 : 0));
     t.print();
     std::printf("\nSRRIP/DRRIP protect the reused shard band against "
                 "the scan-like posting traffic; the exclusive LLC "
                 "buys ~L2-sized extra effective capacity, the "
                 "inclusive one pays back-invalidations.\n");
     bench::finishStandardJson(json, "replacement", bench_t0);
-
-    if (!compat_ok) {
-        std::printf("\nFAIL: legacy HierarchyConfig route is not "
-                    "bit-identical to the generator route\n");
-        return 1;
-    }
-    std::printf("\nLegacy-config mapping bit-identical across all "
-                "oracle configurations.\n");
     return 0;
 }
 

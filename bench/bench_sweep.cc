@@ -11,8 +11,9 @@
  *                       is generated once into a shared BufferedTrace
  *                       and every config replays chunked spans,
  *   3. parallel         runWorkloadSweep at 2/4/8 worker threads,
- *   4. sampled          --smoke's sampled-interval mode (estimates;
- *                       reported separately, never identity-gated).
+ *   4. sampled          --smoke's uniform representative-window plan
+ *                       (estimates; reported separately, never
+ *                       identity-gated).
  *
  * Every exact run is compared counter-for-counter against the
  * serial-classic oracle; any mismatch makes the binary exit nonzero,
@@ -170,7 +171,8 @@ runBenchSweep(const bench::Args &args)
     {
         bench::Args smoke_args = args;
         smoke_args.smoke = true;
-        SweepControl control = bench::sweepControl(smoke_args);
+        SweepControl control =
+            bench::sweepControl(smoke_args, records_per_config);
         control.threads = 1;
         t0 = bench::nowSec();
         const std::vector<SystemResult> sampled =
@@ -186,7 +188,8 @@ runBenchSweep(const bench::Args &args)
         json.add("speedup_vs_serial_classic", serial_sec / sec);
         json.add("sampled_windows", sampled[0].sampledWindows);
         json.add("simulated_fraction",
-                 control.sampling.simulatedFraction());
+                 buildUniformPlan(records_per_config, control.rep)
+                     .simulatedFraction());
         json.endObject();
     }
 

@@ -14,6 +14,7 @@
  * EXPERIMENTS.md for the recorded deltas.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -74,13 +75,15 @@ runTable1(const bench::Args &args)
     };
 
     std::vector<WorkloadSpec> specs;
+    uint64_t max_records = 0;
     for (const auto &row : rows) {
         RunOptions opt = bench::baseOptions(
             row.cores, row.cores >= 8 ? 24'000'000 : 8'000'000);
         specs.push_back({row.profile, row.platform, opt});
+        max_records = std::max(max_records, recordBudget(opt).total());
     }
     const std::vector<SystemResult> results =
-        runWorkloads(specs, bench::sweepControl(args));
+        runWorkloads(specs, bench::sweepControl(args, max_records));
 
     Table t({"Workload", "IPC", "(ref)", "L3 load MPKI", "(ref)",
              "L2-I MPKI", "(ref)", "Branch MPKI", "(ref)"});

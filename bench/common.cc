@@ -37,15 +37,13 @@ parseArgs(int argc, char **argv)
 }
 
 SweepControl
-sweepControl(const Args &args)
+sweepControl(const Args &args, uint64_t total_records)
 {
     SweepControl control;
     control.threads = args.threads;
     if (args.smoke) {
-        // ~1/4 of the trace in windows of 1/8 warmup + 1/8 measure.
-        control.sampling.periodRecords = traceBudget(4'000'000);
-        control.sampling.warmupRecords = traceBudget(500'000);
-        control.sampling.measureRecords = traceBudget(500'000);
+        control.policy = SamplingPolicy::kUniform;
+        control.rep = defaultRepresentativeSampling(total_records);
     }
     return control;
 }
@@ -79,11 +77,17 @@ banner(const Args &args, const std::string &experiment_id,
 {
     printBanner(experiment_id, description);
     if (args.smoke) {
-        const SampledIntervals s = sweepControl(args).sampling;
-        std::printf("(--smoke: SAMPLED intervals -- %.0f%% of each "
-                    "trace simulated in periodic windows; all numbers "
-                    "are estimates)\n\n",
-                    100.0 * s.simulatedFraction());
+        // The plan's shape does not depend on the trace length; any
+        // length that splits evenly into the windows shows it.
+        const uint64_t n = 960'000;
+        const SamplingPlan plan =
+            buildUniformPlan(n, defaultRepresentativeSampling(n));
+        std::printf("(--smoke: SAMPLED -- %zu of %llu uniformly spaced "
+                    "windows, %.0f%% of each trace simulated; all "
+                    "numbers are estimates)\n\n",
+                    plan.windows.size(),
+                    static_cast<unsigned long long>(plan.totalWindows),
+                    100.0 * plan.simulatedFraction());
     }
 }
 
@@ -110,7 +114,7 @@ void
 beginStandardJson(JsonWriter &json, const std::string &bench_name,
                   bool smoke)
 {
-    json.add("schema_version", static_cast<uint64_t>(1));
+    json.add("schema_version", static_cast<uint64_t>(2));
     json.add("bench", bench_name);
     json.add("smoke", static_cast<uint64_t>(smoke ? 1 : 0));
     json.add("git_sha", gitSha());

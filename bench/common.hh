@@ -9,10 +9,12 @@
  * Runtime knobs (see README.md):
  *   WSEARCH_SIM_THREADS  sweep worker threads (default: hardware
  *                        concurrency); --threads=N overrides
- *   --smoke              sampled-interval quick-look mode: periodic
- *                        warmup+measure windows instead of the full
- *                        contiguous replay; results are ESTIMATES and
- *                        are banner-labelled as sampled
+ *   --smoke              sampled quick-look mode: a uniform
+ *                        representative-window plan (12 of 96
+ *                        windows, each after a one-window warmup)
+ *                        instead of the full contiguous replay;
+ *                        results are ESTIMATES with confidence bands
+ *                        and are banner-labelled as sampled
  */
 
 #ifndef WSEARCH_BENCH_COMMON_HH
@@ -47,11 +49,12 @@ struct Args
 Args parseArgs(int argc, char **argv);
 
 /**
- * SweepControl implied by @p args: worker threads plus, in smoke
- * mode, sampled intervals covering ~1/4 of each trace (budget-scaled
- * so WSEARCH_FAST smoke runs still get several windows).
+ * SweepControl implied by @p args for a driver replaying
+ * @p total_records per configuration: worker threads plus, in smoke
+ * mode, a kUniform plan from defaultRepresentativeSampling(total)
+ * that simulates about a quarter of each trace.
  */
-SweepControl sweepControl(const Args &args);
+SweepControl sweepControl(const Args &args, uint64_t total_records);
 
 /**
  * SweepControl running representative-window sampling over
@@ -120,7 +123,9 @@ class JsonWriter
 
 /**
  * The uniform BENCH_*.json preamble every driver emits first:
- *   schema_version  bumped when the shared key set changes
+ *   schema_version  bumped when the shared key set or what the
+ *                   rows measure changes (bench_diff.py then
+ *                   re-baselines instead of reporting drift)
  *   bench           @p bench_name
  *   smoke           1 when the run is the sampled/smoke quick-look
  *   git_sha         gitSha()

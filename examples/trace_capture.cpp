@@ -55,9 +55,9 @@ main(int argc, char **argv)
             std::fprintf(stderr, "cannot read %s\n", path.c_str());
             return 1;
         }
-        HierarchyConfig h;
+        HierarchySpec h;
         h.numCores = tc.numThreads;
-        h.l3 = {l3, 64, 20};
+        h.llc = cache_gen_llc(l3, 64, 20);
         CacheHierarchy hier(h);
         const SimResult r =
             runTrace(reader, hier, records / 4, records / 2);

@@ -9,7 +9,8 @@ CURRENT and BASELINE are BENCH_all.json files (or directories
 containing one), as produced by scripts/bench_all.sh.
 
 Two kinds of checks, per bench present in both runs (and only when
-both runs used the same smoke setting and config keys match):
+both runs used the same schema_version, the same smoke setting, and
+matching config keys):
 
   * correctness counters: deterministic counts (postings decoded,
     equivalence tallies, determinism flags). Any difference is DRIFT
@@ -83,16 +84,14 @@ GATES = {
     },
     "replacement": {
         "config": ["smoke"],
-        # compat_identical == 1 asserts the generator-built hierarchy
-        # reproduced the legacy HierarchyConfig counters bit-exactly.
-        "counters": ["compat_identical"],
+        "counters": [],
         "rows": {
             "field": "rows",
             "key_by": ["l3_capacity", "variant"],
             "counters": ["l3_accesses", "l3_misses",
                          "back_invalidations", "instructions"],
         },
-        "invariants": [("compat_identical", 1)],
+        "invariants": [],
     },
     "micro": {
         "config": ["smoke"],
@@ -224,9 +223,14 @@ def rows_by_key(bench, spec):
     return out
 
 
+# Config keys of every gate: a schema bump (bench/common.cc) marks a
+# deliberate change of what the rows measure, so it re-baselines.
+COMMON_CONFIG = ["schema_version"]
+
+
 def diff_bench(name, cur, base, gate):
     errors = []
-    for key in gate.get("config", []):
+    for key in COMMON_CONFIG + gate.get("config", []):
         if cur.get(key) != base.get(key):
             print("note: %s: config %s changed (%r -> %r); counter "
                   "diff skipped" % (name, key, base.get(key),
@@ -362,8 +366,7 @@ def _sample():
                 ],
             },
             "replacement": {
-                "smoke": 1, "compat_identical": 1,
-                "wall_time_sec": 3.0,
+                "smoke": 1, "wall_time_sec": 3.0,
                 "rows": [
                     {"l3_capacity": 9437184, "variant": "srrip",
                      "l3_accesses": 4000, "l3_misses": 700,
@@ -412,25 +415,18 @@ def selftest():
         slow["benches"]["leaf"]["wall_time_sec"] = 13.0
         assert run_diff(write(slow, "slow.json"), base) == []
 
-        # 6. A failed legacy-compat oracle fails even with no
-        # baseline (in-run invariant).
-        nocompat = _sample()
-        nocompat["benches"]["replacement"]["compat_identical"] = 0
-        assert run_diff(write(nocompat, "nocompat.json"),
-                        os.path.join(tmp, "missing.json"))
-
-        # 7. Replacement-row miss drift fails.
+        # 6. Replacement-row miss drift fails.
         rdrift = _sample()
         rdrift["benches"]["replacement"]["rows"][0]["l3_misses"] += 3
         assert run_diff(write(rdrift, "rdrift.json"), base)
 
-        # 8. Config change skips the counter diff instead of failing.
+        # 7. Config change skips the counter diff instead of failing.
         refit = _sample()
         refit["benches"]["leaf"]["docs"] = 80000
         refit["benches"]["leaf"]["rows"][0]["postings_decoded"] = 1
         assert run_diff(write(refit, "refit.json"), base) == []
 
-        # 9. An injected clustered-sampling band violation fails even
+        # 8. An injected clustered-sampling band violation fails even
         # with no baseline: the statistical gate is an in-run
         # invariant, so it cannot be dodged by deleting the baseline.
         banded = _sample()
@@ -438,26 +434,26 @@ def selftest():
         assert run_diff(write(banded, "banded.json"),
                         os.path.join(tmp, "missing.json"))
 
-        # 10. Sampled-estimate drift in a nominal-scale row fails:
+        # 9. Sampled-estimate drift in a nominal-scale row fails:
         # plans are seeded, so equal configs (same seed/knobs) must
         # reproduce the same estimate bit-for-bit.
         sdrift = _sample()
         sdrift["benches"]["fig6bc"]["rows"][1]["l3_misses"] += 17
         assert run_diff(write(sdrift, "sdrift.json"), base)
 
-        # 11. Changing the sampling seed is a config change, not drift.
+        # 10. Changing the sampling seed is a config change, not drift.
         reseed = _sample()
         reseed["benches"]["fig6bc"]["sample_seed"] = 99
         reseed["benches"]["fig6bc"]["rows"][1]["l3_misses"] += 17
         assert run_diff(write(reseed, "reseed.json"), base) == []
 
-        # 12. A serve thread-scaling row losing a query (resolved !=
+        # 11. A serve thread-scaling row losing a query (resolved !=
         # baseline) is drift.
         sserve = _sample()
         sserve["benches"]["serve"]["rows"][0]["resolved"] -= 1
         assert run_diff(write(sserve, "sserve.json"), base)
 
-        # 13. A broken serve accounting invariant fails even with no
+        # 12. A broken serve accounting invariant fails even with no
         # baseline: a shed or inconsistent row cannot slip through by
         # re-baselining.
         sbad = _sample()
@@ -465,11 +461,28 @@ def selftest():
         assert run_diff(write(sbad, "sbad.json"),
                         os.path.join(tmp, "missing.json"))
 
-        # 14. CAT-ladder miss drift in a fig8 row fails (both the
+        # 13. CAT-ladder miss drift in a fig8 row fails (both the
         # exact scaled replay and the seeded nominal estimate).
         f8 = _sample()
         f8["benches"]["fig8"]["rows"][1]["l3_misses"] += 5
         assert run_diff(write(f8, "f8.json"), base)
+
+        # 14. A schema bump re-baselines: drifted smoke rows pass when
+        # schema_version moved, and the same drift at an equal schema
+        # still fails.
+        def schema(tree, version):
+            for bench in tree["benches"].values():
+                bench["schema_version"] = version
+            return tree
+
+        v1 = write(schema(_sample(), 1), "v1.json")
+        v2 = write(schema(_sample(), 2), "v2.json")
+        resampled = schema(_sample(), 2)
+        resampled["benches"]["fig8"]["rows"][0]["l3_misses"] += 5
+        resampled["benches"]["fig8"]["rows"][0]["sampled_windows"] = 12
+        resampled = write(resampled, "resampled.json")
+        assert run_diff(resampled, v1) == []
+        assert run_diff(resampled, v2)
 
     print("bench_diff selftest: all gates behave")
     return 0

@@ -108,14 +108,10 @@ runWorkloadSweep(const WorkloadProfile &profile,
     // Representative plans depend only on (trace, total records): one
     // plan per distinct (group, budget) pair, shared by every
     // configuration replaying that trace prefix.
-    const bool planned = control.policy != SamplingPolicy::kOff &&
-        control.rep.enabled();
+    const bool planned = control.planned();
     std::vector<SamplingPlan> plans;
     std::vector<size_t> job_plan(options.size(), 0);
     if (planned) {
-        SweepOptions sweep_opt;
-        sweep_opt.policy = control.policy;
-        sweep_opt.rep = control.rep;
         std::map<std::pair<size_t, uint64_t>, size_t> plan_of;
         std::vector<std::pair<size_t, uint64_t>> plan_keys;
         for (size_t i = 0; i < options.size(); ++i) {
@@ -132,7 +128,7 @@ runWorkloadSweep(const WorkloadProfile &profile,
                         [&](size_t pi) {
             plans[pi] = buildSweepPlan(
                 *groups[plan_keys[pi].first].trace,
-                plan_keys[pi].second, sweep_opt);
+                plan_keys[pi].second, control);
         });
     }
 
@@ -143,9 +139,6 @@ runWorkloadSweep(const WorkloadProfile &profile,
         const BufferedTrace &trace = *groups[job_group[i]].trace;
         if (planned)
             results[i] = sim.runPlanned(trace, plans[job_plan[i]]);
-        else if (control.sampling.enabled())
-            results[i] = sim.runSampled(trace, budgets[i].total(),
-                                        control.sampling);
         else
             results[i] = sim.run(trace, budgets[i].warmup,
                                  budgets[i].measure);
@@ -157,34 +150,22 @@ std::vector<SystemResult>
 runWorkloads(const std::vector<WorkloadSpec> &specs,
              const SweepControl &control)
 {
-    const bool planned = control.policy != SamplingPolicy::kOff &&
-        control.rep.enabled();
     std::vector<SystemResult> results(specs.size());
     runParallelJobs(specs.size(), control.threads, [&](size_t i) {
         const WorkloadSpec &s = specs[i];
-        if (planned || control.sampling.enabled()) {
-            const RecordBudget budget = recordBudget(s.opt);
-            SyntheticSearchTrace src(s.profile,
-                                     s.opt.cores * s.opt.smtWays);
-            const std::shared_ptr<const BufferedTrace> trace =
-                BufferedTrace::materialize(src, budget.total());
-            SystemSimulator sim(
-                makeSystemConfig(s.profile, s.platform, s.opt));
-            if (planned) {
-                SweepOptions sweep_opt;
-                sweep_opt.policy = control.policy;
-                sweep_opt.rep = control.rep;
-                results[i] = sim.runPlanned(
-                    *trace,
-                    buildSweepPlan(*trace, budget.total(), sweep_opt));
-            } else {
-                results[i] = sim.runSampled(*trace, budget.total(),
-                                            control.sampling);
-            }
-        } else {
-            results[i] =
-                runWorkload(s.profile, s.platform, s.opt);
+        if (!control.planned()) {
+            // Exact jobs stream through the pull path: no job ever
+            // holds its whole trace in memory.
+            results[i] = runWorkload(s.profile, s.platform, s.opt);
+            return;
         }
+        const RecordBudget budget = recordBudget(s.opt);
+        SyntheticSearchTrace src(s.profile, s.opt.cores * s.opt.smtWays);
+        const std::shared_ptr<const BufferedTrace> trace =
+            BufferedTrace::materialize(src, budget.total());
+        SystemSimulator sim(makeSystemConfig(s.profile, s.platform, s.opt));
+        results[i] = sim.runPlanned(
+            *trace, buildSweepPlan(*trace, budget.total(), control));
     });
     return results;
 }
@@ -195,43 +176,6 @@ runWorkloads(const std::vector<WorkloadSpec> &specs, uint32_t threads)
     SweepControl control;
     control.threads = threads;
     return runWorkloads(specs, control);
-}
-
-HitRateCurve
-l3HitCurve(const WorkloadProfile &profile,
-           const PlatformConfig &platform, RunOptions opt,
-           const std::vector<uint64_t> &sizes)
-{
-    std::vector<RunOptions> options;
-    for (const uint64_t size : sizes) {
-        opt.l3Bytes = size;
-        options.push_back(opt);
-    }
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(profile, platform, options);
-    HitRateCurve curve;
-    for (size_t i = 0; i < sizes.size(); ++i)
-        curve.addPoint(sizes[i], results[i].l3DataHitRate());
-    return curve;
-}
-
-HitRateCurve
-l4HitCurve(const WorkloadProfile &profile,
-           const PlatformConfig &platform, RunOptions opt,
-           const std::vector<uint64_t> &sizes, bool fully_associative)
-{
-    std::vector<RunOptions> options;
-    for (const uint64_t size : sizes) {
-        opt.l4 = cache_gen_victim(size, platform.cacheBlockBytes,
-                                  fully_associative);
-        options.push_back(opt);
-    }
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(profile, platform, options);
-    HitRateCurve curve;
-    for (size_t i = 0; i < sizes.size(); ++i)
-        curve.addPoint(sizes[i], results[i].l4.hitRateTotal());
-    return curve;
 }
 
 void

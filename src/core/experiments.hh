@@ -2,9 +2,8 @@
  * @file
  * Shared experiment-harness helpers used by the bench binaries: run a
  * (workload, platform, hierarchy-variation) combination through the
- * full system simulator with environment-scaled record budgets, and
- * produce the simulation-backed inputs (hit-rate curves) the
- * analytical models consume.
+ * full system simulator with environment-scaled record budgets, one
+ * at a time or as a parallel sweep.
  */
 
 #ifndef WSEARCH_CORE_EXPERIMENTS_HH
@@ -15,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/hit_curve.hh"
 #include "core/platform.hh"
 #include "cpu/system.hh"
 #include "memsim/sweep.hh"
@@ -39,7 +37,7 @@ struct RunOptions
     PrefetchConfig prefetch;
     bool modelTlb = false;
     bool hugePages = false;
-    /** LLC inclusion mode (Inclusive = legacy inclusiveL3). */
+    /** LLC inclusion mode relative to the private levels. */
     InclusionMode llcInclusion = InclusionMode::NINE;
     std::optional<ReplPolicy> llcRepl; ///< override LLC replacement
     uint32_t llcSlices = 1;            ///< address-hashed LLC slices
@@ -67,21 +65,6 @@ SystemResult runWorkload(const WorkloadProfile &profile,
                          const PlatformConfig &platform,
                          const RunOptions &opt);
 
-/** Knobs of a parallel workload sweep (see runWorkloadSweep). */
-struct SweepControl
-{
-    uint32_t threads = 0;      ///< worker threads; 0 = simThreads()
-    /**
-     * Representative-window sampling policy. kUniform/kClustered (with
-     * rep enabled) replace each variation's contiguous replay with a
-     * planned representative-window replay carrying a confidence band;
-     * kOff falls back to @p sampling when that is enabled, else exact.
-     */
-    SamplingPolicy policy = SamplingPolicy::kOff;
-    RepresentativeSampling rep; ///< kUniform/kClustered knobs
-    SampledIntervals sampling;  ///< legacy periodic quick-look mode
-};
-
 /**
  * The parallel sweep: run every RunOptions variation against the same
  * workload/platform concurrently. The trace is generated ONCE per
@@ -90,9 +73,9 @@ struct SweepControl
  * the shared buffer through its own private simulator on a worker
  * thread. Results are positionally matched to @p options and
  * bit-identical to serial runWorkload calls at any thread count --
- * unless @p control.sampling is enabled, which replaces each
- * variation's contiguous warmup+measure replay with periodic sampled
- * windows (results then carry sampledWindows != 0).
+ * unless @p control.planned(), which replaces each variation's
+ * contiguous warmup+measure replay with a representative-window plan
+ * (results then carry sampledWindows != 0 and a confidence band).
  */
 std::vector<SystemResult>
 runWorkloadSweep(const WorkloadProfile &profile,
@@ -112,7 +95,7 @@ struct WorkloadSpec
  * Run heterogeneous workload jobs in parallel (e.g. the Table I
  * rows). Each job generates its own trace -- nothing is shared, so
  * results are bit-identical to serial runWorkload calls unless
- * @p control.sampling is enabled (sampled quick-look estimates).
+ * @p control.planned() (sampled estimates).
  */
 std::vector<SystemResult>
 runWorkloads(const std::vector<WorkloadSpec> &specs,
@@ -120,22 +103,6 @@ runWorkloads(const std::vector<WorkloadSpec> &specs,
 std::vector<SystemResult>
 runWorkloads(const std::vector<WorkloadSpec> &specs,
              uint32_t threads = 0);
-
-/**
- * Sweep total L3 capacity and return the overall L3 hit-rate curve
- * (as seen by the QPS models). @p sizes in bytes.
- */
-HitRateCurve l3HitCurve(const WorkloadProfile &profile,
-                        const PlatformConfig &platform, RunOptions opt,
-                        const std::vector<uint64_t> &sizes);
-
-/**
- * Sweep L4 capacity at a fixed L3 and return the L4 hit-rate curve.
- */
-HitRateCurve l4HitCurve(const WorkloadProfile &profile,
-                        const PlatformConfig &platform, RunOptions opt,
-                        const std::vector<uint64_t> &sizes,
-                        bool fully_associative);
 
 /** Print the standard bench banner. */
 void printBanner(const std::string &experiment_id,

@@ -1,7 +1,5 @@
 #include "cpu/system.hh"
 
-#include <algorithm>
-
 namespace wsearch {
 
 SystemSimulator::SystemSimulator(const SystemConfig &cfg)
@@ -67,59 +65,28 @@ SystemSimulator::step(const TraceRecord &r, bool tlb)
 }
 
 void
-SystemSimulator::pump(TraceSource &src, uint64_t count)
+SystemSimulator::stepSpan(const TraceRecord *rec, size_t n)
 {
-    constexpr size_t kBatch = 8192;
-    TraceRecord buf[kBatch];
-    uint64_t done = 0;
     const bool tlb = cfg_.modelTlb;
-    while (done < count) {
-        const size_t want = static_cast<size_t>(
-            std::min<uint64_t>(kBatch, count - done));
-        const size_t got = src.fill(buf, want);
-        if (got == 0)
-            break;
-        for (size_t i = 0; i < got; ++i)
-            step(buf[i], tlb);
-        done += got;
-    }
+    for (size_t i = 0; i < n; ++i)
+        step(rec[i], tlb);
 }
 
 uint64_t
 SystemSimulator::pumpRange(const BufferedTrace &trace, uint64_t begin,
                            uint64_t count)
 {
-    const bool tlb = cfg_.modelTlb;
-    uint64_t done = 0;
-    while (done < count) {
-        const BufferedTrace::Span s =
-            trace.spanAt(begin + done, count - done);
-        if (s.count == 0)
-            break;
-        for (size_t i = 0; i < s.count; ++i)
-            step(s.data[i], tlb);
-        done += s.count;
-    }
-    return done;
+    return bufferedSpans(trace, begin, count,
+                         [this](const TraceRecord *rec, size_t n) {
+                             stepSpan(rec, n);
+                         });
 }
 
 SystemResult
 SystemSimulator::harvestCounters() const
 {
     SystemResult res;
-    res.instructions = core_.instructions();
-    res.l1i = hier_.l1iStats();
-    res.l1d = hier_.l1dStats();
-    res.l2 = hier_.l2Stats();
-    res.l3 = hier_.l3Stats();
-    res.l4 = hier_.l4Stats();
-    res.l3Evictions = hier_.l3Evictions();
-    res.writebacks = hier_.writebacks();
-    res.backInvalidations = hier_.backInvalidations();
-    const CoherenceStats coh = hier_.cohStats();
-    res.cohUpgrades = coh.upgrades;
-    res.cohInvalidations = coh.invalidations;
-    res.cohDirtyWritebacks = coh.dirtyWritebacks;
+    static_cast<SimResult &>(res) = harvest(hier_, core_.instructions());
     res.branches = branches_;
     res.mispredicts = mispredicts_;
     res.dtlbAccesses = dtlbAccesses_;
@@ -158,9 +125,12 @@ SystemSimulator::finalizeDerived(SystemResult &res) const
 SystemResult
 SystemSimulator::run(TraceSource &src, uint64_t warmup, uint64_t measure)
 {
-    pump(src, warmup);
+    const auto step_span = [this](const TraceRecord *rec, size_t n) {
+        stepSpan(rec, n);
+    };
+    pullSpans(src, warmup, step_span);
     resetStats();
-    pump(src, measure);
+    pullSpans(src, measure, step_span);
     SystemResult res = harvestCounters();
     finalizeDerived(res);
     return res;
@@ -179,69 +149,20 @@ SystemSimulator::run(const BufferedTrace &trace, uint64_t warmup,
 }
 
 SystemResult
-SystemSimulator::runSampled(const BufferedTrace &trace, uint64_t total,
-                            const SampledIntervals &s)
-{
-    if (!s.enabled())
-        return run(trace, 0, total);
-    total = std::min(total, trace.size());
-    SystemResult acc;
-    for (uint64_t period = 0; period < total;
-         period += s.periodRecords) {
-        const uint64_t window_end =
-            std::min(total, period + s.periodRecords);
-        const uint64_t warm =
-            std::min(s.warmupRecords, window_end - period);
-        pumpRange(trace, period, warm);
-        const uint64_t measure_begin = period + warm;
-        if (measure_begin >= window_end)
-            continue;
-        resetStats();
-        pumpRange(trace, measure_begin,
-                  std::min(s.measureRecords,
-                           window_end - measure_begin));
-        SystemResult window = harvestCounters();
-        window.sampledWindows = 1;
-        acc += window;
-    }
-    finalizeDerived(acc);
-    return acc;
-}
-
-SystemResult
 SystemSimulator::runPlanned(const BufferedTrace &trace,
                             const SamplingPlan &plan)
 {
     if (!plan.enabled())
         return run(trace, 0, trace.size());
-    SystemResult acc;
-    std::vector<double> metric;
-    metric.reserve(plan.windows.size());
-    uint64_t pos = 0; // replay cursor: state is carried across gaps
-    for (const SampleWindow &w : plan.windows) {
-        const uint64_t warm_begin = std::max(
-            pos, w.begin > plan.warmupRecords
-                ? w.begin - plan.warmupRecords : 0);
-        if (warm_begin < w.begin)
-            pumpRange(trace, warm_begin, w.begin - warm_begin);
-        resetStats();
-        const uint64_t done = pumpRange(trace, w.begin, w.records);
-        const SystemResult win = harvestCounters();
-        metric.push_back(static_cast<double>(win.l3.totalMisses()));
-        // Weight-merge strictly via operator+=: the representative
-        // stands for `weight` windows of its cluster.
-        SystemResult scaled;
-        for (uint64_t r = 0; r < w.weight; ++r)
-            scaled += win;
-        scaled.sampledWindows = 1;
-        scaled.representedWindows = w.weight;
-        acc += scaled;
-        pos = w.begin + done;
-    }
-    acc.l3MissVar = planVariance(
-        plan, metric, static_cast<double>(acc.l3.totalMisses()));
-    finalizeDerived(acc);
-    return acc;
+    SystemResult res = replayPlan<SystemResult>(
+        plan,
+        [&](uint64_t begin, uint64_t count) {
+            return pumpRange(trace, begin, count);
+        },
+        [this] { resetStats(); },
+        [this](uint64_t) { return harvestCounters(); });
+    finalizeDerived(res);
+    return res;
 }
 
 } // namespace wsearch

@@ -38,19 +38,13 @@ struct SystemConfig
     uint32_t predictorEntries = 128 * 1024;
 };
 
-/** Everything one system run produces. */
-struct SystemResult
+/**
+ * Everything one system run produces: the cache/coherence counters
+ * and window accounting of SimResult, plus branch, TLB and Top-Down
+ * counters and the derived IPC and AMAT.
+ */
+struct SystemResult : SimResult
 {
-    uint64_t instructions = 0;
-    CacheLevelStats l1i, l1d, l2, l3, l4;
-    uint64_t l3Evictions = 0;
-    uint64_t writebacks = 0;
-    uint64_t backInvalidations = 0;
-    // Coherence traffic (all zero when CoherenceProtocol::None).
-    uint64_t cohUpgrades = 0;
-    uint64_t cohInvalidations = 0;
-    uint64_t cohDirtyWritebacks = 0;
-
     uint64_t branches = 0;
     uint64_t mispredicts = 0;
 
@@ -61,43 +55,6 @@ struct SystemResult
     TopDown topdown;
     double ipcPerThread = 0;  ///< per-hardware-thread IPC
     double amatL3Ns = 0;      ///< hL3*tL3 + (1-hL3)*t_miss-path
-    /** Sampled measurement windows merged in (0 = exact run). */
-    uint64_t sampledWindows = 0;
-    /** Windows the estimate stands for (sum of plan weights; 0 = exact). */
-    uint64_t representedWindows = 0;
-    /** Variance of the weighted LLC-total-miss estimate (0 = exact). */
-    double l3MissVar = 0;
-
-    /** 95% confidence half-width on the l3 total-miss estimate. */
-    double
-    l3MissHalfWidth95() const
-    {
-        return 1.96 * std::sqrt(l3MissVar);
-    }
-
-    /** Lower/upper 95% band on the l3 total-miss estimate. */
-    double
-    l3MissBandLo() const
-    {
-        const double lo = static_cast<double>(l3.totalMisses()) -
-            l3MissHalfWidth95();
-        return lo > 0 ? lo : 0;
-    }
-
-    double
-    l3MissBandHi() const
-    {
-        return static_cast<double>(l3.totalMisses()) +
-            l3MissHalfWidth95();
-    }
-
-    /** Band half-width relative to the estimate (0 when exact). */
-    double
-    bandRelHalfWidth() const
-    {
-        const uint64_t m = l3.totalMisses();
-        return m ? l3MissHalfWidth95() / static_cast<double>(m) : 0.0;
-    }
 
     /**
      * Merge another result's raw counters (sampled-window
@@ -107,27 +64,13 @@ struct SystemResult
     SystemResult &
     operator+=(const SystemResult &o)
     {
-        instructions += o.instructions;
-        l1i += o.l1i;
-        l1d += o.l1d;
-        l2 += o.l2;
-        l3 += o.l3;
-        l4 += o.l4;
-        l3Evictions += o.l3Evictions;
-        writebacks += o.writebacks;
-        backInvalidations += o.backInvalidations;
-        cohUpgrades += o.cohUpgrades;
-        cohInvalidations += o.cohInvalidations;
-        cohDirtyWritebacks += o.cohDirtyWritebacks;
+        SimResult::operator+=(o);
         branches += o.branches;
         mispredicts += o.mispredicts;
         dtlbAccesses += o.dtlbAccesses;
         dtlbWalks += o.dtlbWalks;
         itlbWalks += o.itlbWalks;
         topdown += o.topdown;
-        sampledWindows += o.sampledWindows;
-        representedWindows += o.representedWindows;
-        l3MissVar += o.l3MissVar;
         return *this;
     }
 
@@ -193,23 +136,13 @@ class SystemSimulator
                      uint64_t measure);
 
     /**
-     * Sampled-interval replay of the first @p total buffer records
-     * (see SampledIntervals): per-window counters are merged and the
-     * result's sampledWindows is nonzero. Derived metrics are
-     * recomputed over the merged counters.
-     */
-    SystemResult runSampled(const BufferedTrace &trace, uint64_t total,
-                            const SampledIntervals &sampling);
-
-    /**
-     * Planned representative-window replay (see runTracePlanned):
-     * windows visited in position order on this one system, predictor
-     * and cache state carried across gaps, per-window counters
-     * weight-merged via operator+=. The result carries the confidence
-     * band (l3MissVar) and window accounting; derived metrics are
-     * recomputed over the merged counters. A plan selecting every
-     * window with weight 1 reproduces the exact contiguous replay
-     * bit-identically.
+     * Planned representative-window replay through the same window
+     * loop as runTracePlanned (see replayPlan): predictor and cache
+     * state carried across gaps, per-window counters weight-merged via
+     * operator+=. The result carries the confidence band (l3MissVar)
+     * and window accounting; derived metrics are recomputed over the
+     * merged counters. A plan selecting every window with weight 1
+     * reproduces the exact contiguous replay bit-identically.
      */
     SystemResult runPlanned(const BufferedTrace &trace,
                             const SamplingPlan &plan);
@@ -218,7 +151,8 @@ class SystemSimulator
 
   private:
     void step(const TraceRecord &r, bool tlb);
-    void pump(TraceSource &src, uint64_t count);
+    /** The per-record loop, fed by both the pull and buffered paths. */
+    void stepSpan(const TraceRecord *rec, size_t n);
     uint64_t pumpRange(const BufferedTrace &trace, uint64_t begin,
                        uint64_t count);
     void resetStats();

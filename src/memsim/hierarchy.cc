@@ -2,11 +2,6 @@
 
 namespace wsearch {
 
-CacheHierarchy::CacheHierarchy(const HierarchyConfig &cfg)
-    : CacheHierarchy(HierarchySpec::fromLegacy(cfg))
-{
-}
-
 CacheHierarchy::CacheHierarchy(const HierarchySpec &spec) : spec_(spec)
 {
     wsearch_assert(spec.numCores >= 1);

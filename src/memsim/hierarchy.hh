@@ -14,11 +14,6 @@
  * has negligible read-write sharing (§III-A) — but an MSI/MESI
  * directory (coherence.hh) can be enabled to account the upgrade/
  * invalidation/writeback traffic that claim hides.
- *
- * The legacy monolithic HierarchyConfig is retained as a thin
- * compatibility surface: constructing from it routes through
- * HierarchySpec::fromLegacy and reproduces the pre-spec counter
- * stream bit-identically (compat oracle test).
  */
 
 #ifndef WSEARCH_MEMSIM_HIERARCHY_HH
@@ -26,7 +21,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "memsim/cache.hh"
@@ -37,30 +31,6 @@
 #include "stats/counters.hh"
 
 namespace wsearch {
-
-/**
- * Legacy monolithic configuration, kept so existing call sites and
- * tests compile unchanged. New code should build a HierarchySpec with
- * the cache_gen_* factories instead; this maps onto that API via
- * HierarchySpec::fromLegacy. The old L4Config special case is gone —
- * the L4 is just a fourth CacheLevelSpec (cache_gen_victim).
- */
-struct HierarchyConfig
-{
-    uint32_t numCores = 1;
-    uint32_t smtWays = 1; ///< hardware threads sharing one core's L1/L2
-
-    CacheConfig l1i{32 * KiB, 64, 8};
-    CacheConfig l1d{32 * KiB, 64, 8};
-    CacheConfig l2{256 * KiB, 64, 8};
-    /** Ways reserved for instructions in a split L2 (0 = unified). */
-    uint32_t l2InstrPartitionWays = 0;
-    CacheConfig l3{40 * MiB, 64, 20};
-    bool hasL3 = true;
-    bool inclusiveL3 = false; ///< back-invalidate L1/L2 on L3 eviction
-    std::optional<CacheLevelSpec> l4;
-    PrefetchConfig prefetch;
-};
 
 /** Where an access was serviced. */
 enum class HitLevel : uint8_t {
@@ -81,8 +51,6 @@ class CacheHierarchy
 {
   public:
     explicit CacheHierarchy(const HierarchySpec &spec);
-    /** Legacy-config compatibility: routes through fromLegacy. */
-    explicit CacheHierarchy(const HierarchyConfig &cfg);
 
     /** Instruction fetch by hardware thread @p tid. */
     HitLevel accessInstr(uint32_t tid, uint64_t pc);

@@ -1,39 +1,20 @@
 #include "memsim/simulator.hh"
 
-#include <algorithm>
-
 namespace wsearch {
 
 namespace {
 
-constexpr size_t kBatch = 8192;
-
-/** Process @p count records; returns how many were actually consumed. */
+/** Replay up to @p count records pulled from @p src. */
 uint64_t
 pump(TraceSource &src, CacheHierarchy &hier, uint64_t count)
 {
-    TraceRecord buf[kBatch];
-    uint64_t done = 0;
-    while (done < count) {
-        const size_t want = static_cast<size_t>(
-            std::min<uint64_t>(kBatch, count - done));
-        const size_t got = src.fill(buf, want);
-        if (got == 0)
-            break;
-        for (size_t i = 0; i < got; ++i) {
-            const TraceRecord &r = buf[i];
-            hier.accessInstr(r.tid, r.pc);
-            if (r.hasData()) {
-                hier.accessData(r.tid, r.pc, r.addr, r.isStore(),
-                                r.kind);
-            }
-        }
-        done += got;
-    }
-    return done;
+    return pullSpans(src, count, [&](const TraceRecord *rec, size_t n) {
+        pumpSpan(hier, rec, n);
+    });
 }
 
-/** Read the hierarchy's current counters into a SimResult. */
+} // namespace
+
 SimResult
 harvest(const CacheHierarchy &hier, uint64_t instructions)
 {
@@ -53,8 +34,6 @@ harvest(const CacheHierarchy &hier, uint64_t instructions)
     res.cohDirtyWritebacks = coh.dirtyWritebacks;
     return res;
 }
-
-} // namespace
 
 SimResult
 runTrace(TraceSource &src, CacheHierarchy &hier, uint64_t warmup,
@@ -81,16 +60,10 @@ uint64_t
 pumpRange(const BufferedTrace &trace, CacheHierarchy &hier,
           uint64_t begin, uint64_t count)
 {
-    uint64_t done = 0;
-    while (done < count) {
-        const BufferedTrace::Span s =
-            trace.spanAt(begin + done, count - done);
-        if (s.count == 0)
-            break;
-        pumpSpan(hier, s.data, s.count);
-        done += s.count;
-    }
-    return done;
+    return bufferedSpans(trace, begin, count,
+                         [&](const TraceRecord *rec, size_t n) {
+                             pumpSpan(hier, rec, n);
+                         });
 }
 
 SimResult

@@ -10,6 +10,7 @@
 #ifndef WSEARCH_MEMSIM_SIMULATOR_HH
 #define WSEARCH_MEMSIM_SIMULATOR_HH
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -34,15 +35,15 @@ struct SimResult
     /**
      * Number of sampled measurement windows merged into this result
      * (0 = exact, contiguous measurement). Nonzero results come from
-     * the sweep engine's opt-in sampled-interval mode and must be
-     * reported as sampled estimates.
+     * a planned representative-window replay and must be reported as
+     * sampled estimates.
      */
     uint64_t sampledWindows = 0;
     /**
      * Windows this estimate stands for (the sum of plan weights);
-     * 0 for exact runs and legacy periodic sampling. When nonzero,
-     * counters are weighted totals over representedWindows windows,
-     * of which only sampledWindows were simulated.
+     * 0 for exact runs. When nonzero, counters are weighted totals
+     * over representedWindows windows, of which only sampledWindows
+     * were simulated.
      */
     uint64_t representedWindows = 0;
     /**
@@ -116,6 +117,9 @@ struct SimResult
     }
 };
 
+/** Read @p hier's current counters into a result. */
+SimResult harvest(const CacheHierarchy &hier, uint64_t instructions);
+
 /**
  * Run @p warmup records (stats discarded), then @p measure records.
  * The source must not be exhausted before warmup + measure records.
@@ -132,11 +136,8 @@ SimResult runTrace(TraceSource &src, CacheHierarchy &hier,
 SimResult runTrace(const BufferedTrace &trace, CacheHierarchy &hier,
                    uint64_t warmup, uint64_t measure);
 
-/**
- * Replay one contiguous record span through @p hier. The sweep
- * engine's inner loop; exposed so system-level simulators can share
- * the chunk-walking pattern.
- */
+/** Replay one contiguous record span through @p hier: the memsim
+ *  per-record loop, fed by both the pull and the buffered paths. */
 void pumpSpan(CacheHierarchy &hier, const TraceRecord *rec, size_t n);
 
 /**
@@ -145,6 +146,56 @@ void pumpSpan(CacheHierarchy &hier, const TraceRecord *rec, size_t n);
  */
 uint64_t pumpRange(const BufferedTrace &trace, CacheHierarchy &hier,
                    uint64_t begin, uint64_t count);
+
+/** Records of the pull paths' fixed staging buffer. */
+constexpr size_t kStagingRecords = 8192;
+
+/**
+ * Pull up to @p count records from @p src through a fixed
+ * kStagingRecords buffer, handing each filled span to
+ * @p span(const TraceRecord *, size_t). Streams: memory stays bounded
+ * however long the trace is.
+ * @return records pulled (less when the source runs dry).
+ */
+template <class SpanFn>
+uint64_t
+pullSpans(TraceSource &src, uint64_t count, SpanFn &&span)
+{
+    TraceRecord buf[kStagingRecords];
+    uint64_t done = 0;
+    while (done < count) {
+        const size_t got = src.fill(
+            buf, static_cast<size_t>(
+                     std::min<uint64_t>(kStagingRecords, count - done)));
+        if (got == 0)
+            break;
+        span(buf, got);
+        done += got;
+    }
+    return done;
+}
+
+/**
+ * Hand records [@p begin, @p begin + @p count) of @p trace to
+ * @p span(const TraceRecord *, size_t) one contiguous chunk at a time.
+ * @return records handed over (less when the buffer ends).
+ */
+template <class SpanFn>
+uint64_t
+bufferedSpans(const BufferedTrace &trace, uint64_t begin, uint64_t count,
+              SpanFn &&span)
+{
+    uint64_t done = 0;
+    while (done < count) {
+        const BufferedTrace::Span s =
+            trace.spanAt(begin + done, count - done);
+        if (s.count == 0)
+            break;
+        span(s.data, s.count);
+        done += s.count;
+    }
+    return done;
+}
 
 } // namespace wsearch
 

@@ -1,7 +1,5 @@
 #include "memsim/spec.hh"
 
-#include "memsim/hierarchy.hh"
-
 namespace wsearch {
 
 CacheLevelSpec
@@ -61,25 +59,6 @@ cache_gen_victim(uint64_t size_bytes, uint32_t block_bytes,
     s.cache = CacheConfig{size_bytes, block_bytes, 1};
     s.fullyAssociative = fully_assoc;
     s.victimFill = victim_fill;
-    return s;
-}
-
-HierarchySpec
-HierarchySpec::fromLegacy(const HierarchyConfig &cfg)
-{
-    HierarchySpec s;
-    s.numCores = cfg.numCores;
-    s.smtWays = cfg.smtWays;
-    s.l1i.cache = cfg.l1i;
-    s.l1d.cache = cfg.l1d;
-    s.l2.cache = cfg.l2;
-    s.l2InstrPartitionWays = cfg.l2InstrPartitionWays;
-    s.llc.cache = cfg.l3;
-    s.llc.inclusion = cfg.inclusiveL3 ? InclusionMode::Inclusive
-                                      : InclusionMode::NINE;
-    s.hasLlc = cfg.hasL3;
-    s.l4 = cfg.l4;
-    s.prefetch = cfg.prefetch;
     return s;
 }
 

@@ -6,10 +6,9 @@
  * dispatch for the LLC, and an optional fully-associative backend)
  * by cache_gen_* factories in the style of FlexiCAS's generator
  * templates. A HierarchySpec composes the levels with a coherence
- * protocol choice; CacheHierarchy consumes it directly, and the old
- * monolithic HierarchyConfig maps onto it bit-identically through
- * HierarchySpec::fromLegacy (pinned by the compat oracle test and
- * bench_replacement's legacy-compat gate).
+ * protocol choice, and CacheHierarchy consumes it directly. The
+ * compat oracle test pins the counters of representative specs to
+ * goldens captured before the composable redesign.
  *
  * Level semantics:
  *  - inclusion describes how a level relates to the levels ABOVE it
@@ -39,8 +38,6 @@
 #include "memsim/prefetch.hh"
 
 namespace wsearch {
-
-struct HierarchyConfig; // legacy monolithic config (hierarchy.hh)
 
 /** How a cache level relates to the levels above it. */
 enum class InclusionMode : uint8_t {
@@ -135,14 +132,6 @@ struct HierarchySpec
      *  the paper's coherence-free model (and the seed's counters). */
     CoherenceProtocol coherence = CoherenceProtocol::None;
     PrefetchConfig prefetch;
-
-    /**
-     * Map the legacy monolithic config onto the generators. The
-     * mapping is bit-identical: a CacheHierarchy built from
-     * fromLegacy(cfg) reproduces the exact counter stream of the
-     * pre-generator implementation (compat oracle test).
-     */
-    static HierarchySpec fromLegacy(const HierarchyConfig &cfg);
 };
 
 } // namespace wsearch

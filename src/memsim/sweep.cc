@@ -11,31 +11,6 @@
 
 namespace wsearch {
 
-namespace {
-
-/** Read the hierarchy's counters into a one-window SimResult. */
-SimResult
-harvestWindow(const CacheHierarchy &hier, uint64_t instructions)
-{
-    SimResult window;
-    window.instructions = instructions;
-    window.l1i = hier.l1iStats();
-    window.l1d = hier.l1dStats();
-    window.l2 = hier.l2Stats();
-    window.l3 = hier.l3Stats();
-    window.l4 = hier.l4Stats();
-    window.l3Evictions = hier.l3Evictions();
-    window.writebacks = hier.writebacks();
-    window.backInvalidations = hier.backInvalidations();
-    const CoherenceStats coh = hier.cohStats();
-    window.cohUpgrades = coh.upgrades;
-    window.cohInvalidations = coh.invalidations;
-    window.cohDirtyWritebacks = coh.dirtyWritebacks;
-    return window;
-}
-
-} // namespace
-
 const char *
 samplingPolicyName(SamplingPolicy p)
 {
@@ -329,129 +304,53 @@ runParallelJobs(size_t njobs, uint32_t threads,
 }
 
 SimResult
-runTraceSampled(const BufferedTrace &trace, CacheHierarchy &hier,
-                uint64_t total, const SampledIntervals &s)
-{
-    if (!s.enabled())
-        return runTrace(trace, hier, 0, total);
-    total = std::min(total, trace.size());
-    SimResult acc;
-    for (uint64_t period = 0; period < total;
-         period += s.periodRecords) {
-        const uint64_t window_end =
-            std::min(total, period + s.periodRecords);
-        const uint64_t warm = std::min(
-            s.warmupRecords, window_end - period);
-        pumpRange(trace, hier, period, warm);
-        const uint64_t measure_begin = period + warm;
-        if (measure_begin >= window_end)
-            continue;
-        hier.resetStats();
-        const uint64_t done = pumpRange(
-            trace, hier, measure_begin,
-            std::min(s.measureRecords, window_end - measure_begin));
-        SimResult window;
-        window.instructions = done;
-        window.l1i = hier.l1iStats();
-        window.l1d = hier.l1dStats();
-        window.l2 = hier.l2Stats();
-        window.l3 = hier.l3Stats();
-        window.l4 = hier.l4Stats();
-        window.l3Evictions = hier.l3Evictions();
-        window.writebacks = hier.writebacks();
-        window.backInvalidations = hier.backInvalidations();
-        const CoherenceStats coh = hier.cohStats();
-        window.cohUpgrades = coh.upgrades;
-        window.cohInvalidations = coh.invalidations;
-        window.cohDirtyWritebacks = coh.dirtyWritebacks;
-        window.sampledWindows = 1;
-        acc += window;
-    }
-    return acc;
-}
-
-SimResult
 runTracePlanned(const BufferedTrace &trace, CacheHierarchy &hier,
                 const SamplingPlan &plan)
 {
     if (!plan.enabled())
         return runTrace(trace, hier, 0, trace.size());
-    SimResult acc;
-    std::vector<double> metric;
-    metric.reserve(plan.windows.size());
-    uint64_t pos = 0; // replay cursor: state is carried across gaps
-    for (const SampleWindow &w : plan.windows) {
-        const uint64_t warm_begin = std::max(
-            pos, w.begin > plan.warmupRecords
-                ? w.begin - plan.warmupRecords : 0);
-        if (warm_begin < w.begin)
-            pumpRange(trace, hier, warm_begin, w.begin - warm_begin);
-        hier.resetStats();
-        const uint64_t done = pumpRange(trace, hier, w.begin, w.records);
-        const SimResult win = harvestWindow(hier, done);
-        metric.push_back(static_cast<double>(win.l3.totalMisses()));
-        // Weight-merge strictly via operator+=: the representative
-        // stands for `weight` windows of its cluster.
-        SimResult scaled;
-        for (uint64_t r = 0; r < w.weight; ++r)
-            scaled += win;
-        scaled.sampledWindows = 1;
-        scaled.representedWindows = w.weight;
-        acc += scaled;
-        pos = w.begin + done;
-    }
-    acc.l3MissVar = planVariance(
-        plan, metric, static_cast<double>(acc.l3.totalMisses()));
-    return acc;
+    return replayPlan<SimResult>(
+        plan,
+        [&](uint64_t begin, uint64_t count) {
+            return pumpRange(trace, hier, begin, count);
+        },
+        [&] { hier.resetStats(); },
+        [&](uint64_t instructions) {
+            return harvest(hier, instructions);
+        });
 }
 
 SamplingPlan
 buildSweepPlan(const BufferedTrace &trace, uint64_t total,
-               const SweepOptions &opt)
+               const SweepControl &control)
 {
+    if (!control.planned())
+        return SamplingPlan{};
     total = std::min(total, trace.size());
-    if (opt.policy == SamplingPolicy::kClustered && opt.rep.enabled())
-        return buildClusteredPlan(trace, total, opt.rep);
-    if (opt.policy == SamplingPolicy::kUniform && opt.rep.enabled())
-        return buildUniformPlan(total, opt.rep);
-    return SamplingPlan{};
+    if (control.policy == SamplingPolicy::kClustered)
+        return buildClusteredPlan(trace, total, control.rep);
+    return buildUniformPlan(total, control.rep);
 }
 
 std::vector<SimResult>
 sweepHierarchies(const BufferedTrace &trace,
                  const std::vector<HierarchySpec> &specs,
                  uint64_t warmup, uint64_t measure,
-                 const SweepOptions &opt)
+                 const SweepControl &control)
 {
     std::vector<SimResult> results(specs.size());
     // Plans depend only on the trace, never on the configuration:
     // build once, share read-only across all workers.
     const SamplingPlan plan =
-        buildSweepPlan(trace, warmup + measure, opt);
-    runParallelJobs(specs.size(), opt.threads, [&](size_t i) {
+        buildSweepPlan(trace, warmup + measure, control);
+    runParallelJobs(specs.size(), control.threads, [&](size_t i) {
         CacheHierarchy hier(specs[i]);
         if (plan.enabled())
             results[i] = runTracePlanned(trace, hier, plan);
-        else if (opt.sampling.enabled())
-            results[i] = runTraceSampled(trace, hier, warmup + measure,
-                                         opt.sampling);
         else
             results[i] = runTrace(trace, hier, warmup, measure);
     });
     return results;
-}
-
-std::vector<SimResult>
-sweepHierarchies(const BufferedTrace &trace,
-                 const std::vector<HierarchyConfig> &configs,
-                 uint64_t warmup, uint64_t measure,
-                 const SweepOptions &opt)
-{
-    std::vector<HierarchySpec> specs;
-    specs.reserve(configs.size());
-    for (const HierarchyConfig &c : configs)
-        specs.push_back(HierarchySpec::fromLegacy(c));
-    return sweepHierarchies(trace, specs, warmup, measure, opt);
 }
 
 } // namespace wsearch

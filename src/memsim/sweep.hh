@@ -10,16 +10,16 @@
  * bit-identical SimResults to the serial runTrace.
  *
  * The worker count comes from WSEARCH_SIM_THREADS (default: hardware
- * concurrency). An opt-in sampled-interval mode (periodic
- * warmup+measure windows, counters merged across windows) trades
- * exactness for speed on quick-look / CI sweeps; sampled results
- * carry a nonzero SimResult::sampledWindows and must be reported as
- * estimates.
+ * concurrency). Representative-window sampling (uniform or clustered
+ * plans, see SamplingPlan) trades exactness for speed; sampled
+ * results carry a nonzero SimResult::sampledWindows plus a confidence
+ * band and must be reported as estimates.
  */
 
 #ifndef WSEARCH_MEMSIM_SWEEP_HH
 #define WSEARCH_MEMSIM_SWEEP_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -37,39 +37,6 @@ namespace wsearch {
 uint32_t simThreads();
 
 /**
- * Periodic sampling plan: each period simulates @p warmupRecords
- * (counters discarded) followed by @p measureRecords (counters
- * merged), then skips to the next period boundary. Cache state is
- * carried across the skip, which is the usual sampled-simulation
- * bias: the warmup window re-warms recency state but cannot recover
- * the skipped footprint, so results are estimates.
- */
-struct SampledIntervals
-{
-    uint64_t periodRecords = 0;  ///< window stride; 0 disables sampling
-    uint64_t warmupRecords = 0;  ///< per-window warmup
-    uint64_t measureRecords = 0; ///< per-window measurement
-
-    bool
-    enabled() const
-    {
-        return periodRecords > 0 &&
-            measureRecords > 0 &&
-            warmupRecords + measureRecords <= periodRecords;
-    }
-
-    /** Fraction of the trace actually simulated. */
-    double
-    simulatedFraction() const
-    {
-        if (!enabled())
-            return 1.0;
-        return static_cast<double>(warmupRecords + measureRecords) /
-            static_cast<double>(periodRecords);
-    }
-};
-
-/**
  * How a sweep trades replay completeness for speed:
  *   kOff        exact contiguous warmup+measure replay
  *   kUniform    evenly spaced representative windows, equal weights
@@ -77,8 +44,6 @@ struct SampledIntervals
  *               representative per cluster, weighted by cluster size)
  * Both sampled policies attach a confidence band to the estimate (see
  * SimResult::l3MissBandLo/Hi); kOff results are exact and band-free.
- * The legacy periodic SampledIntervals mode remains reachable with
- * policy == kOff plus sampling.enabled() (the --smoke quick-look).
  */
 enum class SamplingPolicy : uint8_t {
     kOff = 0,
@@ -127,7 +92,7 @@ struct RepresentativeSampling
 
 /**
  * Sampling knobs for WSEARCH_FAST-aware drivers: ~@p windows windows
- * over @p total_records with half-window warmups, WSEARCH_SAMPLE_*
+ * over @p total_records with one-window warmups, WSEARCH_SAMPLE_*
  * env overrides applied (see README).
  */
 RepresentativeSampling
@@ -213,24 +178,33 @@ double planVariance(const SamplingPlan &plan,
                     const std::vector<double> &rep_metric,
                     double estimate_total);
 
-/** Knobs of one sweep invocation. */
-struct SweepOptions
+/** Knobs of one sweep invocation (cache or whole-system). */
+struct SweepControl
 {
-    uint32_t threads = 0;      ///< 0: simThreads()
-    /** Representative-window policy; kOff falls back to @p sampling
-     *  (legacy periodic windows) when that is enabled, else exact. */
+    uint32_t threads = 0; ///< worker threads; 0 = simThreads()
+    /**
+     * Representative-window sampling policy. kUniform/kClustered (with
+     * rep enabled) replace each configuration's contiguous replay with
+     * a planned representative-window replay carrying a confidence
+     * band; kOff is the exact warmup+measure replay.
+     */
     SamplingPolicy policy = SamplingPolicy::kOff;
     RepresentativeSampling rep; ///< kUniform/kClustered knobs
-    SampledIntervals sampling;  ///< legacy periodic mode (--smoke)
+
+    bool
+    planned() const
+    {
+        return policy != SamplingPolicy::kOff && rep.enabled();
+    }
 };
 
 /**
- * Build the plan a sweep with @p opt over the first @p total records
- * of @p trace would use: a clustered or uniform plan when the policy
- * asks for one and rep is enabled, else a disabled (empty) plan.
+ * Build the plan a sweep with @p control over the first @p total
+ * records of @p trace would use: a clustered or uniform plan when
+ * control.planned(), else a disabled (empty) plan.
  */
 SamplingPlan buildSweepPlan(const BufferedTrace &trace, uint64_t total,
-                            const SweepOptions &opt);
+                            const SweepControl &control);
 
 /**
  * Run @p job(i) for every i in [0, @p njobs) on @p threads worker
@@ -242,24 +216,58 @@ void runParallelJobs(size_t njobs, uint32_t threads,
                      const std::function<void(size_t)> &job);
 
 /**
- * Sampled-interval replay of [0, @p total) of @p trace (see
- * SampledIntervals). Counters are merged across measurement windows;
- * the result's sampledWindows records how many were merged.
+ * The planned-replay window loop, shared by runTracePlanned and
+ * SystemSimulator::runPlanned. Windows are visited in position order
+ * on one simulator (state carried across the skipped gaps; up to
+ * plan.warmupRecords re-warmed before each window with stats off);
+ * each window's counters are harvested and weight-merged via
+ * Result::operator+=, and the merged result carries the confidence
+ * band (l3MissVar), sampledWindows == windows simulated, and
+ * representedWindows == total windows represented. The callbacks run
+ * once per window, never per record:
+ *   replay(begin, count) -> records replayed
+ *   resetStats()
+ *   harvest(instructions) -> Result of the window just replayed
  */
-SimResult runTraceSampled(const BufferedTrace &trace,
-                          CacheHierarchy &hier, uint64_t total,
-                          const SampledIntervals &sampling);
+template <class Result, class Replay, class Reset, class Harvest>
+Result
+replayPlan(const SamplingPlan &plan, Replay &&replay, Reset &&resetStats,
+           Harvest &&harvest)
+{
+    Result acc;
+    std::vector<double> metric;
+    metric.reserve(plan.windows.size());
+    uint64_t pos = 0; // replay cursor: state is carried across gaps
+    for (const SampleWindow &w : plan.windows) {
+        const uint64_t warm_begin = std::max(
+            pos, w.begin > plan.warmupRecords
+                ? w.begin - plan.warmupRecords : 0);
+        if (warm_begin < w.begin)
+            replay(warm_begin, w.begin - warm_begin);
+        resetStats();
+        const uint64_t done = replay(w.begin, w.records);
+        const Result win = harvest(done);
+        metric.push_back(static_cast<double>(win.l3.totalMisses()));
+        // Weight-merge strictly via operator+=: the representative
+        // stands for `weight` windows of its cluster.
+        Result scaled;
+        for (uint64_t r = 0; r < w.weight; ++r)
+            scaled += win;
+        scaled.sampledWindows = 1;
+        scaled.representedWindows = w.weight;
+        acc += scaled;
+        pos = w.begin + done;
+    }
+    acc.l3MissVar = planVariance(
+        plan, metric, static_cast<double>(acc.l3.totalMisses()));
+    return acc;
+}
 
 /**
- * Planned representative-window replay: windows are visited in
- * position order on ONE hierarchy (state carried across the skipped
- * gaps; up to plan.warmupRecords re-warmed before each window with
- * stats off), each window's counters are harvested and weight-merged
- * via SimResult::operator+=, and the result carries the confidence
- * band (l3MissVar), sampledWindows == windows simulated, and
- * representedWindows == total windows represented. A plan selecting
- * every window with weight 1 reproduces the exact contiguous replay
- * bit-identically.
+ * Planned representative-window replay of @p trace through @p hier
+ * (see replayPlan). A plan selecting every window with weight 1
+ * reproduces the exact contiguous replay bit-identically; a disabled
+ * plan replays the whole buffer exactly.
  */
 SimResult runTracePlanned(const BufferedTrace &trace,
                           CacheHierarchy &hier,
@@ -270,21 +278,14 @@ SimResult runTracePlanned(const BufferedTrace &trace,
  * configuration, @p warmup records of warmup then @p measure records
  * of measurement each, in parallel. Result i belongs to config i and
  * is bit-identical to serial runTrace at any thread count (unless
- * sampling is enabled, which replaces the warmup/measure split with
- * windows over the first warmup+measure records).
+ * control.planned(), which replaces the warmup/measure split with a
+ * representative-window plan over the first warmup+measure records).
  */
 std::vector<SimResult>
 sweepHierarchies(const BufferedTrace &trace,
                  const std::vector<HierarchySpec> &specs,
                  uint64_t warmup, uint64_t measure,
-                 const SweepOptions &opt = {});
-
-/** Legacy-config overload: maps each config via fromLegacy. */
-std::vector<SimResult>
-sweepHierarchies(const BufferedTrace &trace,
-                 const std::vector<HierarchyConfig> &configs,
-                 uint64_t warmup, uint64_t measure,
-                 const SweepOptions &opt = {});
+                 const SweepControl &control = {});
 
 } // namespace wsearch
 

@@ -39,11 +39,11 @@
 
 #include "search/leaf.hh"
 #include "search/query.hh"
-#include "serve/bounded_queue.hh"
 #include "serve/clock.hh"
 #include "serve/fault.hh"
 #include "serve/serve_stats.hh"
 #include "serve/striped_cache.hh"
+#include "serve/ticket_ring.hh"
 
 namespace wsearch {
 
@@ -300,7 +300,7 @@ class LeafWorkerPool
 
     Config cfg_;
     LeafServer leaf_;
-    BoundedQueue<ServeRequest> queue_;
+    TicketRing<ServeRequest> queue_;
     std::vector<std::unique_ptr<WorkerSlot>> slots_;
     std::vector<std::thread> threads_;
 

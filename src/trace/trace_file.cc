@@ -38,10 +38,21 @@ toDisk(const TraceRecord &r)
     return d;
 }
 
-TraceRecord
-fromDisk(const DiskRecord &d)
+/** Records decoded per read; the buffer lives on the stack. */
+constexpr size_t kDecodeRecords = 256;
+
+/**
+ * Decode @p d into @p r. Returns false, leaving @p r unspecified,
+ * when an enum byte is out of range: a hostile or corrupt file must
+ * not hand the simulator a kind that indexes past its counters.
+ */
+bool
+fromDisk(const DiskRecord &d, TraceRecord &r)
 {
-    TraceRecord r;
+    if (d.kind >= kNumAccessKinds ||
+        d.op > static_cast<uint8_t>(MemOp::Store) ||
+        d.branch > static_cast<uint8_t>(BranchKind::Taken))
+        return false;
     r.pc = d.pc;
     r.addr = d.addr;
     r.target = d.target;
@@ -49,7 +60,7 @@ fromDisk(const DiskRecord &d)
     r.kind = static_cast<AccessKind>(d.kind);
     r.op = static_cast<MemOp>(d.op);
     r.branch = static_cast<BranchKind>(d.branch);
-    return r;
+    return true;
 }
 
 } // namespace
@@ -132,17 +143,27 @@ TraceFileReader::~TraceFileReader()
 size_t
 TraceFileReader::fill(TraceRecord *buf, size_t max)
 {
-    if (!file_ || position_ >= header_.recordCount)
-        return 0;
-    const size_t want = static_cast<size_t>(std::min<uint64_t>(
-        max, header_.recordCount - position_));
-    std::vector<DiskRecord> disk(want);
-    const size_t got =
-        std::fread(disk.data(), sizeof(DiskRecord), want, file_);
-    for (size_t i = 0; i < got; ++i)
-        buf[i] = fromDisk(disk[i]);
-    position_ += got;
-    return got;
+    size_t done = 0;
+    while (file_ && done < max && position_ < header_.recordCount) {
+        DiskRecord disk[kDecodeRecords];
+        const size_t want = static_cast<size_t>(std::min<uint64_t>(
+            {max - done, kDecodeRecords,
+             header_.recordCount - position_}));
+        const size_t got =
+            std::fread(disk, sizeof(DiskRecord), want, file_);
+        size_t valid = 0;
+        while (valid < got && fromDisk(disk[valid], buf[done + valid]))
+            ++valid;
+        done += valid;
+        position_ += valid;
+        if (valid < want) {
+            // A malformed record, or a file shorter than its header
+            // says: hand out the records before it, then stop for good.
+            std::fclose(file_);
+            file_ = nullptr;
+        }
+    }
+    return done;
 }
 
 void

@@ -60,7 +60,13 @@ class TraceFileWriter
 class TraceFileReader : public TraceSource
 {
   public:
-    /** Opens @p path; check ok() (bad magic also fails). */
+    /**
+     * Opens @p path; check ok() (bad magic also fails). Replay stops
+     * at the first record with an out-of-range kind, op or branch
+     * byte, or where the file ends before its header's recordCount:
+     * fill() returns the valid records before that point, then 0, and
+     * ok() turns false.
+     */
     explicit TraceFileReader(const std::string &path);
     ~TraceFileReader() override;
 

@@ -82,10 +82,14 @@ TEST(Experiments, L3HitCurveMonotone)
     RunOptions opt;
     opt.cores = 2;
     opt.measureRecords = 600'000;
-    const HitRateCurve curve = l3HitCurve(
-        prof, PlatformConfig::plt1(), opt,
-        {512 * KiB, 2 * MiB, 8 * MiB, 32 * MiB});
-    EXPECT_GT(curve.hitRate(32 * MiB), curve.hitRate(512 * KiB));
+    std::vector<RunOptions> options;
+    for (const uint64_t size : {512 * KiB, 32 * MiB}) {
+        opt.l3Bytes = size;
+        options.push_back(opt);
+    }
+    const std::vector<SystemResult> r =
+        runWorkloadSweep(prof, PlatformConfig::plt1(), options);
+    EXPECT_GT(r[1].l3DataHitRate(), r[0].l3DataHitRate());
 }
 
 TEST(Experiments, L4HitCurveGrowsWithCapacity)
@@ -100,10 +104,14 @@ TEST(Experiments, L4HitCurveGrowsWithCapacity)
     opt.l3Bytes = 512 * KiB;
     opt.measureRecords = 800'000;
     opt.warmupRecords = 1'600'000;
-    const HitRateCurve curve =
-        l4HitCurve(prof, PlatformConfig::plt1(), opt,
-                   {1 * MiB, 16 * MiB}, false);
-    EXPECT_GT(curve.hitRate(16 * MiB), curve.hitRate(1 * MiB));
+    std::vector<RunOptions> options;
+    for (const uint64_t size : {1 * MiB, 16 * MiB}) {
+        opt.l4 = cache_gen_victim(size, 64);
+        options.push_back(opt);
+    }
+    const std::vector<SystemResult> r =
+        runWorkloadSweep(prof, PlatformConfig::plt1(), options);
+    EXPECT_GT(r[1].l4.hitRateTotal(), r[0].l4.hitRateTotal());
 }
 
 } // namespace

@@ -117,15 +117,19 @@ TEST(WorkloadSweep, SampledModeReportsWindowsAndApproximatesExact)
 
     SweepControl control;
     control.threads = 1;
-    control.sampling.periodRecords = 30'000;
-    control.sampling.warmupRecords = 5'000;
-    control.sampling.measureRecords = 10'000;
+    control.policy = SamplingPolicy::kUniform;
+    control.rep.windowRecords = 10'000;
+    control.rep.warmupRecords = 5'000;
+    control.rep.sampleWindows = 3;
     const std::vector<SystemResult> sampled =
         runWorkloadSweep(prof, plt, options, control);
     ASSERT_EQ(sampled.size(), 1u);
-    // 90k total records -> 3 windows of 10k measured each.
+    // 90k total records -> 9 windows; 3 simulated, each standing for
+    // 3, so the weighted instruction count covers the whole trace.
     EXPECT_EQ(sampled[0].sampledWindows, 3u);
-    EXPECT_EQ(sampled[0].instructions, 30'000u);
+    EXPECT_EQ(sampled[0].representedWindows, 9u);
+    EXPECT_EQ(sampled[0].instructions, 90'000u);
+    EXPECT_GT(sampled[0].l3MissVar, 0.0);
 
     // The estimate should be in the neighbourhood of the exact run
     // (loose bound; this guards gross accounting bugs, not accuracy).
@@ -133,19 +137,6 @@ TEST(WorkloadSweep, SampledModeReportsWindowsAndApproximatesExact)
     EXPECT_EQ(exact.sampledWindows, 0u);
     EXPECT_GT(sampled[0].ipcPerThread, 0.25 * exact.ipcPerThread);
     EXPECT_LT(sampled[0].ipcPerThread, 4.0 * exact.ipcPerThread);
-}
-
-TEST(WorkloadSweep, HitCurvesComeBackOrdered)
-{
-    // l3HitCurve rides the sweep engine now; sanity-check the curve
-    // is keyed by the requested sizes and monotone-ish in capacity.
-    const WorkloadProfile prof = WorkloadProfile::s1Leaf();
-    RunOptions opt = smallOpt(0);
-    opt.l3Bytes.reset();
-    const std::vector<uint64_t> sizes = {512 * KiB, 2 * MiB, 8 * MiB};
-    const HitRateCurve curve =
-        l3HitCurve(prof, PlatformConfig::plt1(), opt, sizes);
-    EXPECT_LE(curve.hitRate(512 * KiB), curve.hitRate(8 * MiB) + 1e-9);
 }
 
 } // namespace

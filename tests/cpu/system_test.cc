@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "cpu/system.hh"
 #include "trace/synthetic.hh"
 
@@ -150,6 +153,136 @@ TEST(System, DeterministicAcrossRuns)
     EXPECT_EQ(a.mispredicts, b.mispredicts);
     EXPECT_EQ(a.l3.totalMisses(), b.l3.totalMisses());
     EXPECT_DOUBLE_EQ(a.ipcPerThread, b.ipcPerThread);
+}
+
+/** Bit pattern of a double, so equality means bit-identical. */
+uint64_t
+bits(double v)
+{
+    return std::bit_cast<uint64_t>(v);
+}
+
+/** Every counter equal; TopDown slots, IPC and AMAT bit for bit. */
+void
+expectSystemIdentical(const SystemResult &a, const SystemResult &b)
+{
+    EXPECT_EQ(a.instructions, b.instructions);
+    const CacheLevelStats *as[] = {&a.l1i, &a.l1d, &a.l2, &a.l3, &a.l4};
+    const CacheLevelStats *bs[] = {&b.l1i, &b.l1d, &b.l2, &b.l3, &b.l4};
+    for (int lvl = 0; lvl < 5; ++lvl) {
+        for (uint32_t k = 0; k < kNumAccessKinds; ++k) {
+            ASSERT_EQ(as[lvl]->accesses[k], bs[lvl]->accesses[k])
+                << "level " << lvl << " kind " << k;
+            ASSERT_EQ(as[lvl]->misses[k], bs[lvl]->misses[k])
+                << "level " << lvl << " kind " << k;
+        }
+        EXPECT_EQ(as[lvl]->prefetchIssued, bs[lvl]->prefetchIssued);
+        EXPECT_EQ(as[lvl]->prefetchUseful, bs[lvl]->prefetchUseful);
+    }
+    EXPECT_EQ(a.l3Evictions, b.l3Evictions);
+    EXPECT_EQ(a.writebacks, b.writebacks);
+    EXPECT_EQ(a.backInvalidations, b.backInvalidations);
+    EXPECT_EQ(a.cohUpgrades, b.cohUpgrades);
+    EXPECT_EQ(a.cohInvalidations, b.cohInvalidations);
+    EXPECT_EQ(a.cohDirtyWritebacks, b.cohDirtyWritebacks);
+    EXPECT_EQ(a.branches, b.branches);
+    EXPECT_EQ(a.mispredicts, b.mispredicts);
+    EXPECT_EQ(a.dtlbAccesses, b.dtlbAccesses);
+    EXPECT_EQ(a.dtlbWalks, b.dtlbWalks);
+    EXPECT_EQ(a.itlbWalks, b.itlbWalks);
+    const TopDown &ta = a.topdown, &tb = b.topdown;
+    EXPECT_EQ(bits(ta.retiring), bits(tb.retiring));
+    EXPECT_EQ(bits(ta.badSpeculation), bits(tb.badSpeculation));
+    EXPECT_EQ(bits(ta.frontendLatency), bits(tb.frontendLatency));
+    EXPECT_EQ(bits(ta.frontendBandwidth), bits(tb.frontendBandwidth));
+    EXPECT_EQ(bits(ta.backendMemory), bits(tb.backendMemory));
+    EXPECT_EQ(bits(ta.backendCore), bits(tb.backendCore));
+    EXPECT_EQ(bits(a.ipcPerThread), bits(b.ipcPerThread));
+    EXPECT_EQ(bits(a.amatL3Ns), bits(b.amatL3Ns));
+}
+
+/**
+ * Two cores with TLBs on, so every component's counters move. Every
+ * slot charge is a small dyadic rational, so the Top-Down sums are
+ * exact in any grouping: a run split into windows and merged can then
+ * be compared with the contiguous run bit for bit. (With the default
+ * charges, such as a 0.095 exposure, regrouping the floating-point
+ * sums at window boundaries moves their last bits.)
+ */
+SystemConfig
+loopConfig()
+{
+    SystemConfig cfg = smallSystem(2);
+    cfg.modelTlb = true;
+    CoreModelParams &core = cfg.core;
+    core.l2HitNs = 4.0;
+    core.l3HitNs = 24.0;
+    core.l4HitNs = 40.0;
+    core.memNs = 124.0;
+    core.feExposure = 0.125;
+    core.tlbWalkNs = 40.0;
+    core.tlbWalkExposure = 0.5;
+    core.tweaks.postL2Exposure = 0.25;
+    core.tweaks.l2Exposure = 0.0625;
+    core.tweaks.feBwSlotsPerInstr = 0.25;
+    core.tweaks.beCoreSlotsPerInstr = 0.25;
+    return cfg;
+}
+
+TEST(System, PlannedReplayWithEveryWindowEqualsContiguousRun)
+{
+    constexpr uint64_t kWin = 1'000, kWindows = 40;
+    constexpr uint64_t kTotal = kWin * kWindows;
+    SyntheticSearchTrace src(tinyProfile(), 2);
+    const auto trace = BufferedTrace::materialize(src, kTotal);
+
+    SystemSimulator exact_sim(loopConfig());
+    const SystemResult exact = exact_sim.run(*trace, 0, kTotal);
+
+    RepresentativeSampling rep;
+    rep.windowRecords = kWin;
+    rep.warmupRecords = kWin / 2;
+    rep.sampleWindows = kWindows; // k == N: every window, weight 1
+    for (const SamplingPlan &plan :
+         {buildClusteredPlan(*trace, kTotal, rep),
+          buildUniformPlan(kTotal, rep)}) {
+        SCOPED_TRACE(samplingPolicyName(plan.policy));
+        ASSERT_EQ(plan.windows.size(), kWindows);
+        SystemSimulator sim(loopConfig());
+        const SystemResult got = sim.runPlanned(*trace, plan);
+        expectSystemIdentical(got, exact);
+        EXPECT_EQ(got.sampledWindows, kWindows);
+        EXPECT_EQ(got.representedWindows, kWindows);
+    }
+}
+
+TEST(System, PullPathEqualsBufferedPathAcrossChunkAndStagingEdges)
+{
+    // Warmup/measure splits on both sides of the pull path's staging
+    // buffer, against buffers whose chunks are smaller than, one
+    // short of, and one past that buffer.
+    const uint64_t s = kStagingRecords;
+    const uint64_t splits[][2] = {
+        {0, 2 * s + 3}, {s - 1, s + 1}, {s, s}, {s + 1, s - 1},
+        {2 * s + 1, 100},
+    };
+    for (const size_t chunk : {256u, 8'191u, 8'193u}) {
+        SyntheticSearchTrace src(tinyProfile(), 2);
+        const auto trace =
+            BufferedTrace::materialize(src, 2 * s + 200, chunk);
+        for (const auto &split : splits) {
+            SCOPED_TRACE("chunk=" + std::to_string(chunk) +
+                         " warmup=" + std::to_string(split[0]) +
+                         " measure=" + std::to_string(split[1]));
+            SyntheticSearchTrace pull(tinyProfile(), 2);
+            SystemSimulator pull_sim(loopConfig());
+            const SystemResult want =
+                pull_sim.run(pull, split[0], split[1]);
+            SystemSimulator buffered_sim(loopConfig());
+            expectSystemIdentical(
+                buffered_sim.run(*trace, split[0], split[1]), want);
+        }
+    }
 }
 
 } // namespace

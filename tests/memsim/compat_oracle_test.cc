@@ -1,11 +1,11 @@
 /**
- * Legacy-config compatibility oracle. The golden counters below were
- * captured from the pre-redesign (monolithic HierarchyConfig)
- * implementation on the exact harness used here: 4 S1-leaf trace
- * threads, 40k warmup + 80k measured records. The redesigned
- * generator-based hierarchy must reproduce every counter EXACTLY —
- * any drift means the composable refactor changed simulation
- * semantics, which is a bug even if the new numbers look plausible.
+ * Compatibility oracle. The golden counters below were captured from
+ * the pre-redesign (monolithic-config) implementation on the exact
+ * harness used here: 4 S1-leaf trace threads, 40k warmup + 80k
+ * measured records. Hierarchies assembled from the cache_gen_*
+ * generators must reproduce every counter EXACTLY -- any drift means
+ * the simulation semantics changed, which is a bug even if the new
+ * numbers look plausible.
  */
 #include <gtest/gtest.h>
 
@@ -29,7 +29,7 @@ struct Golden
 };
 
 SimResult
-runOracle(const HierarchyConfig &cfg)
+runOracle(const HierarchySpec &cfg)
 {
     SyntheticSearchTrace src(WorkloadProfile::s1Leaf(), 4);
     CacheHierarchy hier(cfg);
@@ -66,9 +66,9 @@ constexpr GoldenLevel kZero = {{0, 0, 0, 0}, {0, 0, 0, 0}};
 
 TEST(CompatOracle, PlainHierarchy)
 {
-    HierarchyConfig cfg;
+    HierarchySpec cfg;
     cfg.numCores = 4;
-    cfg.l3 = {1 * MiB, 64, 16};
+    cfg.llc = cache_gen_llc(1 * MiB, 64, 16);
     const Golden g = {
         {{80000, 0, 0, 0}, {1735, 0, 0, 0}},
         {{0, 17451, 871, 12012}, {0, 2495, 109, 3}},
@@ -82,11 +82,10 @@ TEST(CompatOracle, PlainHierarchy)
 
 TEST(CompatOracle, InclusiveCatPartition)
 {
-    HierarchyConfig cfg;
+    HierarchySpec cfg;
     cfg.numCores = 4;
-    cfg.l3 = {1 * MiB, 64, 16};
-    cfg.l3.partitionWays = 4;
-    cfg.inclusiveL3 = true;
+    cfg.llc = cache_gen_llc(1 * MiB, 64, 16, ReplPolicy::LRU,
+                            InclusionMode::Inclusive, 1, 4);
     const Golden g = {
         {{80000, 0, 0, 0}, {2296, 0, 0, 0}},
         {{0, 17451, 871, 12012}, {0, 7348, 110, 4567}},
@@ -100,9 +99,9 @@ TEST(CompatOracle, InclusiveCatPartition)
 
 TEST(CompatOracle, SplitL2Partition)
 {
-    HierarchyConfig cfg;
+    HierarchySpec cfg;
     cfg.numCores = 4;
-    cfg.l3 = {1 * MiB, 64, 16};
+    cfg.llc = cache_gen_llc(1 * MiB, 64, 16);
     cfg.l2InstrPartitionWays = 2;
     const Golden g = {
         {{80000, 0, 0, 0}, {1735, 0, 0, 0}},
@@ -127,25 +126,25 @@ constexpr Golden kL4Golden = {
     2321, 499, 0,
 };
 
-HierarchyConfig
+HierarchySpec
 l4Base()
 {
-    HierarchyConfig cfg;
+    HierarchySpec cfg;
     cfg.numCores = 4;
-    cfg.l3 = {256 * KiB, 64, 16};
+    cfg.llc = cache_gen_llc(256 * KiB, 64, 16);
     return cfg;
 }
 
 TEST(CompatOracle, L4VictimDirectMapped)
 {
-    HierarchyConfig cfg = l4Base();
+    HierarchySpec cfg = l4Base();
     cfg.l4 = cache_gen_victim(4 * MiB, 64);
     expectGolden(runOracle(cfg), kL4Golden);
 }
 
 TEST(CompatOracle, L4OnMissDirectMapped)
 {
-    HierarchyConfig cfg = l4Base();
+    HierarchySpec cfg = l4Base();
     cfg.l4 = cache_gen_victim(4 * MiB, 64, /*fully_assoc=*/false,
                               /*victim_fill=*/false);
     expectGolden(runOracle(cfg), kL4Golden);
@@ -153,18 +152,17 @@ TEST(CompatOracle, L4OnMissDirectMapped)
 
 TEST(CompatOracle, L4VictimFullyAssociative)
 {
-    HierarchyConfig cfg = l4Base();
+    HierarchySpec cfg = l4Base();
     cfg.l4 = cache_gen_victim(4 * MiB, 64, /*fully_assoc=*/true);
     expectGolden(runOracle(cfg), kL4Golden);
 }
 
 TEST(CompatOracle, SrripSmtPrefetch)
 {
-    HierarchyConfig cfg;
+    HierarchySpec cfg;
     cfg.numCores = 2;
     cfg.smtWays = 2;
-    cfg.l3 = {1 * MiB, 64, 16};
-    cfg.l3.repl = ReplPolicy::SRRIP;
+    cfg.llc = cache_gen_llc(1 * MiB, 64, 16, ReplPolicy::SRRIP);
     cfg.prefetch = PrefetchConfig::allOn();
     const SimResult r = runOracle(cfg);
     const Golden g = {
@@ -180,38 +178,6 @@ TEST(CompatOracle, SrripSmtPrefetch)
     EXPECT_EQ(r.l1d.prefetchUseful, 1778u);
     EXPECT_EQ(r.l2.prefetchIssued, 1998u);
     EXPECT_EQ(r.l2.prefetchUseful, 917u);
-}
-
-TEST(CompatOracle, GeneratorRouteMatchesLegacyRoute)
-{
-    // The hand-assembled generator spec and fromLegacy must agree
-    // with each other, not just with the goldens.
-    HierarchyConfig legacy;
-    legacy.numCores = 4;
-    legacy.l3 = {1 * MiB, 64, 16};
-    legacy.l3.partitionWays = 4;
-    legacy.inclusiveL3 = true;
-
-    HierarchySpec gen;
-    gen.numCores = 4;
-    gen.llc = cache_gen_llc(1 * MiB, 64, 16, ReplPolicy::LRU,
-                            InclusionMode::Inclusive, 1, 4);
-
-    SyntheticSearchTrace srcA(WorkloadProfile::s1Leaf(), 4);
-    CacheHierarchy hierA(legacy);
-    const SimResult a = runTrace(srcA, hierA, 40'000, 80'000);
-    SyntheticSearchTrace srcB(WorkloadProfile::s1Leaf(), 4);
-    CacheHierarchy hierB(gen);
-    const SimResult b = runTrace(srcB, hierB, 40'000, 80'000);
-
-    expectLevel(b.l3, {{a.l3.accesses[0], a.l3.accesses[1],
-                        a.l3.accesses[2], a.l3.accesses[3]},
-                       {a.l3.misses[0], a.l3.misses[1],
-                        a.l3.misses[2], a.l3.misses[3]}},
-                "l3");
-    EXPECT_EQ(a.backInvalidations, b.backInvalidations);
-    EXPECT_EQ(a.writebacks, b.writebacks);
-    EXPECT_EQ(a.l3Evictions, b.l3Evictions);
 }
 
 } // namespace

@@ -21,22 +21,22 @@ smallProfile()
 }
 
 SystemResult
-runWith(const HierarchyConfig &h, uint64_t records = 1'500'000)
+runWith(const HierarchySpec &h, uint64_t records = 1'500'000)
 {
     const WorkloadProfile p = smallProfile();
     SyntheticSearchTrace trace(p, h.numCores * h.smtWays);
     SystemConfig cfg;
-    cfg.hierarchy = HierarchySpec::fromLegacy(h);
+    cfg.hierarchy = h;
     SystemSimulator sim(cfg);
     return sim.run(trace, records, records);
 }
 
-HierarchyConfig
+HierarchySpec
 baseHier(uint32_t cores = 2)
 {
-    HierarchyConfig h;
+    HierarchySpec h;
     h.numCores = cores;
-    h.l3 = {1 * MiB, 64, 16};
+    h.llc.cache = {1 * MiB, 64, 16};
     return h;
 }
 
@@ -49,8 +49,8 @@ TEST_P(L3SizeSweep, MissesShrinkWithCapacity)
     const uint32_t cores = GetParam();
     double prev = 1e18;
     for (const uint64_t size : {256 * KiB, 1 * MiB, 4 * MiB}) {
-        HierarchyConfig h = baseHier(cores);
-        h.l3.sizeBytes = size;
+        HierarchySpec h = baseHier(cores);
+        h.llc.cache.sizeBytes = size;
         const SystemResult r = runWith(h);
         const double mpki = r.l3.mpkiTotal(r.instructions);
         EXPECT_LT(mpki, prev * 1.02) << "size " << size;
@@ -64,8 +64,8 @@ TEST(HierarchyProps, CatWaysMonotone)
 {
     double prev = 1e18;
     for (const uint32_t ways : {2u, 4u, 8u, 16u}) {
-        HierarchyConfig h = baseHier();
-        h.l3.partitionWays = ways;
+        HierarchySpec h = baseHier();
+        h.llc.cache.partitionWays = ways;
         const SystemResult r = runWith(h);
         const double mpki = r.l3.mpkiTotal(r.instructions);
         EXPECT_LT(mpki, prev * 1.02) << "ways " << ways;
@@ -77,8 +77,8 @@ TEST(HierarchyProps, L4HitRateMonotoneInCapacity)
 {
     double prev = -1.0;
     for (const uint64_t size : {512 * KiB, 2 * MiB, 8 * MiB}) {
-        HierarchyConfig h = baseHier();
-        h.l3.sizeBytes = 256 * KiB;
+        HierarchySpec h = baseHier();
+        h.llc.cache.sizeBytes = 256 * KiB;
         h.l4 = cache_gen_victim(size, 64);
         const SystemResult r = runWith(h, 2'500'000);
         EXPECT_GT(r.l4.hitRateTotal(), prev - 0.01) << "size " << size;
@@ -91,11 +91,12 @@ TEST(HierarchyProps, BiggerBlocksCutShardMisses)
 {
     // Sequential shard runs: larger blocks mean fewer block-grain
     // misses per byte consumed.
-    HierarchyConfig small = baseHier(), big = baseHier();
-    for (CacheConfig *c : {&small.l1i, &small.l1d, &small.l2, &small.l3})
-        c->blockBytes = 32;
-    for (CacheConfig *c : {&big.l1i, &big.l1d, &big.l2, &big.l3})
-        c->blockBytes = 256;
+    HierarchySpec small = baseHier(), big = baseHier();
+    for (CacheLevelSpec *c :
+         {&small.l1i, &small.l1d, &small.l2, &small.llc})
+        c->cache.blockBytes = 32;
+    for (CacheLevelSpec *c : {&big.l1i, &big.l1d, &big.l2, &big.llc})
+        c->cache.blockBytes = 256;
     const SystemResult rs = runWith(small);
     const SystemResult rb = runWith(big);
     EXPECT_GT(rs.l1d.mpki(AccessKind::Shard, rs.instructions),
@@ -106,9 +107,9 @@ TEST(HierarchyProps, SmtSharesCachesMultiCoreDoesNot)
 {
     // 4 threads on 1 core (SMT-4) vs 4 cores: the SMT configuration
     // must show higher private-cache pressure.
-    HierarchyConfig smt = baseHier(1);
+    HierarchySpec smt = baseHier(1);
     smt.smtWays = 4;
-    HierarchyConfig multi = baseHier(4);
+    HierarchySpec multi = baseHier(4);
     const SystemResult rs = runWith(smt);
     const SystemResult rm = runWith(multi);
     EXPECT_GT(rs.l1d.mpkiTotal(rs.instructions),
@@ -117,7 +118,7 @@ TEST(HierarchyProps, SmtSharesCachesMultiCoreDoesNot)
 
 TEST(HierarchyProps, PrefetchersNeverBreakCorrectnessCounters)
 {
-    HierarchyConfig h = baseHier();
+    HierarchySpec h = baseHier();
     h.prefetch = PrefetchConfig::allOn();
     const SystemResult r = runWith(h);
     // Hits + misses == accesses at every level (prefetch inserts are

@@ -5,15 +5,15 @@
 namespace wsearch {
 namespace {
 
-HierarchyConfig
+HierarchySpec
 tinyConfig(uint32_t cores = 1)
 {
-    HierarchyConfig h;
+    HierarchySpec h;
     h.numCores = cores;
-    h.l1i = {1 * KiB, 64, 4};
-    h.l1d = {1 * KiB, 64, 4};
-    h.l2 = {4 * KiB, 64, 4};
-    h.l3 = {16 * KiB, 64, 4};
+    h.l1i.cache = {1 * KiB, 64, 4};
+    h.l1d.cache = {1 * KiB, 64, 4};
+    h.l2.cache = {4 * KiB, 64, 4};
+    h.llc.cache = {16 * KiB, 64, 4};
     return h;
 }
 
@@ -69,7 +69,7 @@ TEST(Hierarchy, SeparateCoresHavePrivateL1)
 
 TEST(Hierarchy, SmtThreadsShareL1)
 {
-    HierarchyConfig cfg = tinyConfig(1);
+    HierarchySpec cfg = tinyConfig(1);
     cfg.smtWays = 2;
     CacheHierarchy h(cfg);
     EXPECT_EQ(h.coreOf(0), 0u);
@@ -81,7 +81,7 @@ TEST(Hierarchy, SmtThreadsShareL1)
 
 TEST(Hierarchy, ThreadToCoreMapping)
 {
-    HierarchyConfig cfg = tinyConfig(4);
+    HierarchySpec cfg = tinyConfig(4);
     cfg.smtWays = 2;
     CacheHierarchy h(cfg);
     EXPECT_EQ(h.coreOf(0), 0u);
@@ -113,10 +113,10 @@ TEST(Hierarchy, ResetStatsKeepsContents)
 
 TEST(Hierarchy, InclusiveL3BackInvalidates)
 {
-    HierarchyConfig cfg = tinyConfig();
-    cfg.inclusiveL3 = true;
+    HierarchySpec cfg = tinyConfig();
+    cfg.llc.inclusion = InclusionMode::Inclusive;
     // Make the L3 direct-mapped and tiny so evictions are easy to force.
-    cfg.l3 = {4 * 64, 64, 1}; // 4 sets
+    cfg.llc.cache = {4 * 64, 64, 1}; // 4 sets
     CacheHierarchy h(cfg);
     const uint64_t a = 0;
     const uint64_t conflict = 4 * 64; // same L3 set as a
@@ -132,9 +132,9 @@ TEST(Hierarchy, InclusiveL3BackInvalidates)
 
 TEST(Hierarchy, NonInclusiveKeepsL1OnL3Eviction)
 {
-    HierarchyConfig cfg = tinyConfig();
-    cfg.inclusiveL3 = false;
-    cfg.l3 = {4 * 64, 64, 1};
+    HierarchySpec cfg = tinyConfig();
+    cfg.llc.inclusion = InclusionMode::NINE;
+    cfg.llc.cache = {4 * 64, 64, 1};
     CacheHierarchy h(cfg);
     const uint64_t a = 0;
     h.accessData(0, 0, a, false, AccessKind::Heap);
@@ -145,7 +145,7 @@ TEST(Hierarchy, NonInclusiveKeepsL1OnL3Eviction)
 
 TEST(Hierarchy, DirtyL2EvictionWritesBack)
 {
-    HierarchyConfig cfg = tinyConfig();
+    HierarchySpec cfg = tinyConfig();
     CacheHierarchy h(cfg);
     // Store to a block, then stream enough blocks through the L2 to
     // evict it; the writeback counter must increase.
@@ -157,8 +157,8 @@ TEST(Hierarchy, DirtyL2EvictionWritesBack)
 
 TEST(Hierarchy, NoL3Mode)
 {
-    HierarchyConfig cfg = tinyConfig();
-    cfg.hasL3 = false;
+    HierarchySpec cfg = tinyConfig();
+    cfg.hasLlc = false;
     CacheHierarchy h(cfg);
     EXPECT_EQ(h.accessData(0, 0, 0x9000, false, AccessKind::Heap),
               HitLevel::Memory);

@@ -5,15 +5,15 @@
 namespace wsearch {
 namespace {
 
-HierarchyConfig
+HierarchySpec
 l4Config(bool fully_assoc = false, bool victim_fill = true)
 {
-    HierarchyConfig h;
+    HierarchySpec h;
     h.numCores = 1;
-    h.l1i = {1 * KiB, 64, 4};
-    h.l1d = {1 * KiB, 64, 4};
-    h.l2 = {2 * KiB, 64, 4};
-    h.l3 = {4 * 64, 64, 1}; // tiny direct-mapped L3: easy evictions
+    h.l1i.cache = {1 * KiB, 64, 4};
+    h.l1d.cache = {1 * KiB, 64, 4};
+    h.l2.cache = {2 * KiB, 64, 4};
+    h.llc.cache = {4 * 64, 64, 1}; // tiny direct-mapped L3: easy evictions
     h.l4 = cache_gen_victim(64 * KiB, 64, fully_assoc, victim_fill);
     return h;
 }

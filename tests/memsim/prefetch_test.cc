@@ -63,11 +63,11 @@ TEST(PrefetchIntegration, StrideStreamCutsL1Misses)
     // A strided loop should see far fewer L1-D misses with the stride
     // prefetcher enabled.
     auto run = [](bool enable) {
-        HierarchyConfig cfg;
-        cfg.l1i = {1 * KiB, 64, 4};
-        cfg.l1d = {4 * KiB, 64, 4};
-        cfg.l2 = {32 * KiB, 64, 8};
-        cfg.l3 = {256 * KiB, 64, 8};
+        HierarchySpec cfg;
+        cfg.l1i.cache = {1 * KiB, 64, 4};
+        cfg.l1d.cache = {4 * KiB, 64, 4};
+        cfg.l2.cache = {32 * KiB, 64, 8};
+        cfg.llc.cache = {256 * KiB, 64, 8};
         cfg.prefetch.l1Stride = enable;
         CacheHierarchy h(cfg);
         for (uint64_t i = 0; i < 20000; ++i)
@@ -85,11 +85,11 @@ TEST(PrefetchIntegration, AdjacentLineHelpsPairs)
     // Accesses that touch block pairs benefit from buddy prefetching
     // at the L2.
     auto run = [](bool enable) {
-        HierarchyConfig cfg;
-        cfg.l1i = {1 * KiB, 64, 4};
-        cfg.l1d = {1 * KiB, 64, 4};
-        cfg.l2 = {64 * KiB, 64, 8};
-        cfg.l3 = {256 * KiB, 64, 8};
+        HierarchySpec cfg;
+        cfg.l1i.cache = {1 * KiB, 64, 4};
+        cfg.l1d.cache = {1 * KiB, 64, 4};
+        cfg.l2.cache = {64 * KiB, 64, 8};
+        cfg.llc.cache = {256 * KiB, 64, 8};
         cfg.prefetch.l2Adjacent = enable;
         CacheHierarchy h(cfg);
         Rng rng(7);
@@ -107,10 +107,10 @@ TEST(PrefetchIntegration, AdjacentLineHelpsPairs)
 
 TEST(PrefetchIntegration, UsefulPrefetchCounted)
 {
-    HierarchyConfig cfg;
-    cfg.l1d = {4 * KiB, 64, 4};
-    cfg.l2 = {32 * KiB, 64, 8};
-    cfg.l3 = {256 * KiB, 64, 8};
+    HierarchySpec cfg;
+    cfg.l1d.cache = {4 * KiB, 64, 4};
+    cfg.l2.cache = {32 * KiB, 64, 8};
+    cfg.llc.cache = {256 * KiB, 64, 8};
     cfg.prefetch.l1Stride = true;
     CacheHierarchy h(cfg);
     for (uint64_t i = 0; i < 1000; ++i)

@@ -145,12 +145,12 @@ makePhaseTrace(const std::vector<bool> &schedule,
     return BufferedTrace::materialize(src, kTotal, chunk);
 }
 
-HierarchyConfig
+HierarchySpec
 testConfig()
 {
-    HierarchyConfig cfg;
+    HierarchySpec cfg;
     cfg.numCores = 1;
-    cfg.l3.sizeBytes = 1 * MiB;
+    cfg.llc.cache.sizeBytes = 1 * MiB;
     return cfg;
 }
 
@@ -404,12 +404,12 @@ TEST(SamplingPlans, BandFieldsSurviveOperatorPlusEq)
 TEST(SamplingPlans, SweepResultsIdenticalAcrossThreadCounts)
 {
     const auto trace = makePhaseTrace(fixedSchedule());
-    std::vector<HierarchyConfig> configs;
+    std::vector<HierarchySpec> configs;
     for (const uint64_t l3 : {512 * KiB, 1 * MiB, 4 * MiB})
         configs.push_back(testConfig()),
-            configs.back().l3.sizeBytes = l3;
+            configs.back().llc.cache.sizeBytes = l3;
 
-    SweepOptions base;
+    SweepControl base;
     base.policy = SamplingPolicy::kClustered;
     base.rep = testRep();
     base.threads = 1;
@@ -423,7 +423,7 @@ TEST(SamplingPlans, SweepResultsIdenticalAcrossThreadCounts)
     }
 
     for (const uint32_t threads : {2u, 4u, 8u}) {
-        SweepOptions opt = base;
+        SweepControl opt = base;
         opt.threads = threads;
         const std::vector<SimResult> got =
             sweepHierarchies(*trace, configs, 0, kTotal, opt);

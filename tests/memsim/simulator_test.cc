@@ -41,14 +41,14 @@ load(uint64_t pc, uint64_t addr, AccessKind kind = AccessKind::Heap)
     return r;
 }
 
-HierarchyConfig
+HierarchySpec
 tiny()
 {
-    HierarchyConfig h;
-    h.l1i = {1 * KiB, 64, 4};
-    h.l1d = {1 * KiB, 64, 4};
-    h.l2 = {4 * KiB, 64, 4};
-    h.l3 = {16 * KiB, 64, 4};
+    HierarchySpec h;
+    h.l1i.cache = {1 * KiB, 64, 4};
+    h.l1d.cache = {1 * KiB, 64, 4};
+    h.l2.cache = {4 * KiB, 64, 4};
+    h.llc.cache = {16 * KiB, 64, 4};
     return h;
 }
 

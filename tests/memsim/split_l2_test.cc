@@ -5,15 +5,15 @@
 namespace wsearch {
 namespace {
 
-HierarchyConfig
+HierarchySpec
 splitConfig(uint32_t instr_ways)
 {
-    HierarchyConfig h;
-    h.l1i = {1 * KiB, 64, 4};
-    h.l1d = {1 * KiB, 64, 4};
-    h.l2 = {8 * KiB, 64, 8};
+    HierarchySpec h;
+    h.l1i.cache = {1 * KiB, 64, 4};
+    h.l1d.cache = {1 * KiB, 64, 4};
+    h.l2.cache = {8 * KiB, 64, 8};
     h.l2InstrPartitionWays = instr_ways;
-    h.l3 = {64 * KiB, 64, 8};
+    h.llc.cache = {64 * KiB, 64, 8};
     return h;
 }
 

@@ -23,28 +23,28 @@ makeTrace(uint64_t records = kRecords,
     return BufferedTrace::materialize(src, records, chunk);
 }
 
-std::vector<HierarchyConfig>
+std::vector<HierarchySpec>
 sweepConfigs()
 {
-    std::vector<HierarchyConfig> configs;
+    std::vector<HierarchySpec> configs;
     for (const uint64_t l3 : {1 * MiB, 4 * MiB, 16 * MiB}) {
-        HierarchyConfig h;
+        HierarchySpec h;
         h.numCores = 4;
-        h.l3.sizeBytes = l3;
-        h.l3.ways = 16;
+        h.llc.cache.sizeBytes = l3;
+        h.llc.cache.ways = 16;
         configs.push_back(h);
     }
     {
-        HierarchyConfig h;
+        HierarchySpec h;
         h.numCores = 4;
         h.l4 = cache_gen_victim(8 * MiB, 64);
         configs.push_back(h);
     }
     {
-        HierarchyConfig h;
+        HierarchySpec h;
         h.numCores = 2;
         h.smtWays = 2;
-        h.inclusiveL3 = true;
+        h.llc.inclusion = InclusionMode::Inclusive;
         configs.push_back(h);
     }
     return configs;
@@ -78,7 +78,7 @@ expectSimEq(const SimResult &a, const SimResult &b, const char *what)
 
 /** Serial oracle: fresh source, classic virtual-dispatch runTrace. */
 SimResult
-serialOracle(const HierarchyConfig &cfg, uint64_t warmup,
+serialOracle(const HierarchySpec &cfg, uint64_t warmup,
              uint64_t measure)
 {
     SyntheticSearchTrace src(WorkloadProfile::s1Leaf(), kTraceThreads);
@@ -89,18 +89,18 @@ serialOracle(const HierarchyConfig &cfg, uint64_t warmup,
 TEST(SweepEngine, ParallelSweepBitIdenticalToSerialRunTrace)
 {
     const auto trace = makeTrace();
-    const std::vector<HierarchyConfig> configs = sweepConfigs();
+    const std::vector<HierarchySpec> configs = sweepConfigs();
     const uint64_t warmup = 40'000, measure = 80'000;
 
     std::vector<SimResult> oracle;
-    for (const HierarchyConfig &cfg : configs)
+    for (const HierarchySpec &cfg : configs)
         oracle.push_back(serialOracle(cfg, warmup, measure));
 
     for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
-        SweepOptions opt;
-        opt.threads = threads;
+        SweepControl control;
+        control.threads = threads;
         const std::vector<SimResult> got =
-            sweepHierarchies(*trace, configs, warmup, measure, opt);
+            sweepHierarchies(*trace, configs, warmup, measure, control);
         ASSERT_EQ(got.size(), configs.size());
         for (size_t i = 0; i < configs.size(); ++i) {
             SCOPED_TRACE("threads=" + std::to_string(threads) +
@@ -117,9 +117,9 @@ TEST(SweepEngine, ChunkBoundaryStraddlingSplitsAreExact)
     // chunk edge, and straddle several chunks.
     const auto trace = makeTrace(10'000, 256);
     ASSERT_GT(trace->numChunks(), 30u);
-    HierarchyConfig cfg;
+    HierarchySpec cfg;
     cfg.numCores = 4;
-    cfg.l3.sizeBytes = 1 * MiB;
+    cfg.llc.cache.sizeBytes = 1 * MiB;
 
     const uint64_t splits[][2] = {
         {0, 10'000},   // no warmup
@@ -142,7 +142,7 @@ TEST(SweepEngine, ChunkBoundaryStraddlingSplitsAreExact)
 
 TEST(SweepEngine, ChunkGranularityDoesNotChangeResults)
 {
-    HierarchyConfig cfg;
+    HierarchySpec cfg;
     cfg.numCores = 4;
     const SimResult want = serialOracle(cfg, 7'000, 13'000);
     for (const size_t chunk : {64u, 1'000u, 8'192u, 1u << 16}) {
@@ -152,52 +152,6 @@ TEST(SweepEngine, ChunkGranularityDoesNotChangeResults)
         SCOPED_TRACE("chunk=" + std::to_string(chunk));
         expectSimEq(got, want, "chunk granularity");
     }
-}
-
-TEST(SweepEngine, SampledIntervalsMergeWindows)
-{
-    const auto trace = makeTrace(100'000);
-    HierarchyConfig cfg;
-    cfg.numCores = 4;
-    SampledIntervals s;
-    s.periodRecords = 20'000;
-    s.warmupRecords = 2'000;
-    s.measureRecords = 3'000;
-    ASSERT_TRUE(s.enabled());
-    EXPECT_DOUBLE_EQ(s.simulatedFraction(), 0.25);
-
-    CacheHierarchy hier(cfg);
-    const SimResult got = runTraceSampled(*trace, hier, 100'000, s);
-    EXPECT_EQ(got.sampledWindows, 5u);
-    EXPECT_EQ(got.instructions, 5u * 3'000u);
-    EXPECT_EQ(got.l1i.totalAccesses(), got.instructions);
-
-    // Sampling is deterministic too.
-    CacheHierarchy hier2(cfg);
-    expectSimEq(runTraceSampled(*trace, hier2, 100'000, s), got,
-                "sampled determinism");
-
-    // The sweep plumbs sampling through.
-    SweepOptions opt;
-    opt.threads = 2;
-    opt.sampling = s;
-    const std::vector<SimResult> swept = sweepHierarchies(
-        *trace, {cfg, cfg}, 60'000, 40'000, opt);
-    expectSimEq(swept[0], got, "swept sampled");
-    expectSimEq(swept[1], got, "swept sampled");
-}
-
-TEST(SweepEngine, SampledDisabledFallsBackToExact)
-{
-    const auto trace = makeTrace(30'000);
-    HierarchyConfig cfg;
-    cfg.numCores = 4;
-    SampledIntervals off; // periodRecords == 0
-    ASSERT_FALSE(off.enabled());
-    CacheHierarchy hier(cfg);
-    const SimResult got = runTraceSampled(*trace, hier, 30'000, off);
-    EXPECT_EQ(got.sampledWindows, 0u);
-    EXPECT_EQ(got.instructions, 30'000u);
 }
 
 TEST(SweepEngine, RunParallelJobsCoversEveryIndexOnce)

@@ -1,17 +1,22 @@
+/**
+ * Contract tests of the serving runtime's bounded MPMC admission
+ * queue (serve/ticket_ring.hh): FIFO order, shedding when full,
+ * blocking push/pop, and close() draining then stopping.
+ */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "serve/bounded_queue.hh"
+#include "serve/ticket_ring.hh"
 
 namespace wsearch {
 namespace {
 
 TEST(BoundedQueue, FifoOrder)
 {
-    BoundedQueue<int> q(8);
+    TicketRing<int> q(8);
     for (int i = 0; i < 5; ++i)
         EXPECT_TRUE(q.tryPush(std::move(i)));
     EXPECT_EQ(q.depth(), 5u);
@@ -25,7 +30,7 @@ TEST(BoundedQueue, FifoOrder)
 
 TEST(BoundedQueue, TryPushShedsWhenFull)
 {
-    BoundedQueue<int> q(2);
+    TicketRing<int> q(2);
     EXPECT_TRUE(q.tryPush(1));
     EXPECT_TRUE(q.tryPush(2));
     EXPECT_FALSE(q.tryPush(3)); // full: shed
@@ -36,7 +41,7 @@ TEST(BoundedQueue, TryPushShedsWhenFull)
 
 TEST(BoundedQueue, TryPushLeavesValueIntactOnShed)
 {
-    BoundedQueue<std::vector<int>> q(1);
+    TicketRing<std::vector<int>> q(1);
     EXPECT_TRUE(q.tryPush({1}));
     std::vector<int> v{1, 2, 3};
     EXPECT_FALSE(q.tryPush(std::move(v)));
@@ -46,7 +51,7 @@ TEST(BoundedQueue, TryPushLeavesValueIntactOnShed)
 
 TEST(BoundedQueue, BlockingPushWaitsForSpace)
 {
-    BoundedQueue<int> q(1);
+    TicketRing<int> q(1);
     EXPECT_TRUE(q.tryPush(1));
     std::atomic<bool> pushed{false};
     std::thread producer([&] {
@@ -66,7 +71,7 @@ TEST(BoundedQueue, BlockingPushWaitsForSpace)
 
 TEST(BoundedQueue, PopBlocksUntilPush)
 {
-    BoundedQueue<int> q(4);
+    TicketRing<int> q(4);
     std::atomic<int> got{-1};
     std::thread consumer([&] {
         int out;
@@ -82,7 +87,7 @@ TEST(BoundedQueue, PopBlocksUntilPush)
 
 TEST(BoundedQueue, CloseDrainsThenStops)
 {
-    BoundedQueue<int> q(8);
+    TicketRing<int> q(8);
     EXPECT_TRUE(q.tryPush(1));
     EXPECT_TRUE(q.tryPush(2));
     q.close();
@@ -99,7 +104,7 @@ TEST(BoundedQueue, CloseDrainsThenStops)
 
 TEST(BoundedQueue, CloseUnblocksBlockedPush)
 {
-    BoundedQueue<int> q(1);
+    TicketRing<int> q(1);
     EXPECT_TRUE(q.tryPush(1));
     std::atomic<bool> returned{false};
     std::thread blocked_push([&] {
@@ -115,7 +120,7 @@ TEST(BoundedQueue, CloseUnblocksBlockedPush)
 
 TEST(BoundedQueue, CloseUnblocksBlockedPop)
 {
-    BoundedQueue<int> q(1);
+    TicketRing<int> q(1);
     std::atomic<bool> returned{false};
     std::thread blocked_pop([&] {
         int out;
@@ -134,7 +139,7 @@ TEST(BoundedQueue, MpmcStressPreservesItems)
     constexpr int kProducers = 4;
     constexpr int kConsumers = 4;
     constexpr int kPerProducer = 2000;
-    BoundedQueue<int> q(64);
+    TicketRing<int> q(64);
     std::atomic<long long> sum{0};
     std::atomic<int> popped{0};
 

@@ -1,7 +1,8 @@
 /**
- * Stress suite for the Vyukov ticket ring behind BoundedQueue (the
- * contract tests live in bounded_queue_test.cc; this file hammers the
- * lock-free fast paths and the close/drain interleavings). Carries
+ * Stress suite for the Vyukov ticket ring behind the serving queue
+ * (the contract tests live in bounded_queue_test.cc; this file
+ * hammers the lock-free fast paths and the close/drain
+ * interleavings). Carries
  * the "serve" ctest label, so CI's TSan leg runs every test here with
  * full race detection over the ring protocol.
  */

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <vector>
 
 #include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
@@ -128,6 +130,102 @@ TEST_F(TraceFileTest, RejectsBadMagic)
     std::fwrite(junk, 1, sizeof(junk), f);
     std::fclose(f);
     TraceFileReader r(path_);
+    EXPECT_FALSE(r.ok());
+}
+
+/** Header bytes, and byte offsets of the enum fields in a record. */
+constexpr long kHeaderBytes = sizeof(TraceFileHeader);
+constexpr long kRecordBytes = 32;
+constexpr long kKindOffset = 26;
+constexpr long kOpOffset = 27;
+
+/** Capture @p n records of a tiny synthetic trace to @p path. */
+std::vector<TraceRecord>
+writeTrace(const std::string &path, size_t n)
+{
+    SyntheticSearchTrace src(tinyProfile(), 2);
+    std::vector<TraceRecord> recs(n);
+    src.fill(recs.data(), recs.size());
+    TraceFileWriter w(path, 2);
+    w.append(recs.data(), recs.size());
+    w.close();
+    return recs;
+}
+
+/** Overwrite one byte of record @p rec at @p offset. */
+void
+poke(const std::string &path, size_t rec, long offset, uint8_t value)
+{
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, kHeaderBytes + static_cast<long>(rec) * kRecordBytes +
+                      offset,
+               SEEK_SET);
+    std::fputc(value, f);
+    std::fclose(f);
+}
+
+/** Drain @p r in 100-record fills; returns everything it produced. */
+std::vector<TraceRecord>
+drain(TraceFileReader &r)
+{
+    std::vector<TraceRecord> out;
+    TraceRecord buf[100];
+    size_t got;
+    while ((got = r.fill(buf, 100)) > 0)
+        out.insert(out.end(), buf, buf + got);
+    return out;
+}
+
+void
+expectPrefix(const std::vector<TraceRecord> &got,
+             const std::vector<TraceRecord> &orig)
+{
+    for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].pc, orig[i].pc) << i;
+        ASSERT_EQ(got[i].kind, orig[i].kind) << i;
+        ASSERT_EQ(got[i].op, orig[i].op) << i;
+    }
+}
+
+TEST_F(TraceFileTest, StopsAtBadKind)
+{
+    // The bad record sits past the first 256-record decode batch.
+    const std::vector<TraceRecord> orig = writeTrace(path_, 1000);
+    poke(path_, 300, kKindOffset, 200);
+    TraceFileReader r(path_);
+    ASSERT_TRUE(r.ok());
+    const std::vector<TraceRecord> got = drain(r);
+    EXPECT_EQ(got.size(), 300u);
+    expectPrefix(got, orig);
+    EXPECT_FALSE(r.ok());
+    TraceRecord buf[4];
+    EXPECT_EQ(r.fill(buf, 4), 0u);
+}
+
+TEST_F(TraceFileTest, StopsAtBadOp)
+{
+    writeTrace(path_, 50);
+    poke(path_, 0, kOpOffset, 3);
+    TraceFileReader r(path_);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(drain(r).empty());
+    EXPECT_FALSE(r.ok());
+}
+
+TEST_F(TraceFileTest, StopsAtTruncation)
+{
+    // The header promises 1000 records; the file ends halfway through
+    // record 600.
+    const std::vector<TraceRecord> orig = writeTrace(path_, 1000);
+    std::filesystem::resize_file(
+        path_, kHeaderBytes + 600 * kRecordBytes + kRecordBytes / 2);
+    TraceFileReader r(path_);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.recordCount(), 1000u);
+    const std::vector<TraceRecord> got = drain(r);
+    EXPECT_EQ(got.size(), 600u);
+    expectPrefix(got, orig);
     EXPECT_FALSE(r.ok());
 }
 
