@@ -28,9 +28,9 @@ namespace {
 uint64_t
 budget(const bench::Args &args, uint64_t records)
 {
-    // Smoke mode quarters the (already WSEARCH_FAST-scaled) budget:
-    // the studies stay directionally meaningful and CI stays fast.
-    const uint64_t n = traceBudget(records);
+    // Smoke mode quarters the (already 8x-scaled) budget: the studies
+    // stay directionally meaningful and CI stays fast.
+    const uint64_t n = bench::scaledRecords(args, records);
     return args.smoke ? n / 4 : n;
 }
 
@@ -182,9 +182,9 @@ void
 runAblation(const bench::Args &args)
 {
     const double t0 = bench::nowSec();
-    printBanner("Ablations",
-                "Design-choice sensitivity beyond the paper's own "
-                "bars");
+    bench::banner("Ablations",
+                  "Design-choice sensitivity beyond the paper's own "
+                  "bars");
     bench::JsonWriter json;
     bench::beginStandardJson(json, "ablation", args.smoke);
     json.add("records_unit", budget(args, 16'000'000));

@@ -22,21 +22,20 @@
  * reports what each failure mode costs: coverage, unavailable-shard
  * counts, retry/hedge traffic, and the latency tail.
  *
- * WSEARCH_FAST=1 shrinks the run; WSEARCH_CLUSTER_CLIENTS overrides
- * the closed-loop client count (default 4).
+ * --smoke shrinks the per-shard corpus and the query count; every
+ * section runs 4 closed-loop clients.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
+#include "common.hh"
 #include "search/corpus.hh"
 #include "search/sharding.hh"
 #include "serve/cluster.hh"
 #include "serve/fault.hh"
 #include "serve/loadgen.hh"
-#include "util/env.hh"
 #include "util/table.hh"
 
 namespace wsearch {
@@ -64,14 +63,13 @@ fmtDeadline(uint64_t ns)
     return Table::fmtInt(ns / 1'000) + " us";
 }
 
+/** Closed-loop clients of every section. */
+constexpr uint32_t kClients = 4;
+
 void
-runBenchCluster()
+runBenchCluster(const bench::Args &args)
 {
-    const bool fast = fastMode();
-    const uint32_t clients = static_cast<uint32_t>(
-        envU64("WSEARCH_CLUSTER_CLIENTS", 4));
-    if (clients < 1)
-        wsearch_fatal("WSEARCH_CLUSTER_CLIENTS must be >= 1");
+    const bool fast = args.smoke;
 
     // Weak scaling: the per-shard corpus is constant, so a bigger
     // cluster serves a bigger corpus at the same per-shard work and
@@ -81,7 +79,7 @@ runBenchCluster()
     cc.vocabSize = 20000;
     std::printf("# bench_cluster: %u docs/shard, %u terms, %u "
                 "closed-loop clients\n",
-                per_shard_docs, cc.vocabSize, clients);
+                per_shard_docs, cc.vocabSize, kClients);
     std::fflush(stdout);
     const auto corpus_for = [&cc, per_shard_docs](uint32_t num_shards) {
         CorpusConfig scaled = cc;
@@ -91,7 +89,7 @@ runBenchCluster()
 
     LoadGenConfig lg;
     lg.queries = trafficFor(cc);
-    lg.clients = clients;
+    lg.clients = kClients;
     lg.numQueries = fast ? 800 : 3000;
 
     // --- 1. Shard fan-out sweep at a fixed deadline. -----------------
@@ -228,11 +226,9 @@ runBenchCluster()
 
 // --- 4. Fault sweep (--faults). ----------------------------------
 void
-runBenchFaults()
+runBenchFaults(const bench::Args &args)
 {
-    const bool fast = fastMode();
-    const uint32_t clients = static_cast<uint32_t>(
-        envU64("WSEARCH_CLUSTER_CLIENTS", 4));
+    const bool fast = args.smoke;
     const uint32_t num_shards = 4;
     const uint32_t per_shard_docs = fast ? 1000 : 2500;
     CorpusConfig cc;
@@ -240,14 +236,14 @@ runBenchFaults()
     cc.numDocs = per_shard_docs * num_shards;
     std::printf("# bench_cluster --faults: %u shards x 2 replicas, "
                 "%u docs/shard, %u clients\n",
-                num_shards, per_shard_docs, clients);
+                num_shards, per_shard_docs, kClients);
     std::fflush(stdout);
     const CorpusGenerator corpus(cc);
     const ShardedIndex si = buildShardedIndex(corpus, num_shards);
 
     LoadGenConfig lg;
     lg.queries = trafficFor(cc);
-    lg.clients = clients;
+    lg.clients = kClients;
     lg.numQueries = fast ? 600 : 2000;
 
     const uint64_t deadline = 10'000'000; // 10 ms
@@ -330,10 +326,12 @@ runBenchFaults()
 int
 main(int argc, char **argv)
 {
-    if (argc > 1 && std::strcmp(argv[1], "--faults") == 0) {
-        wsearch::runBenchFaults();
-        return 0;
-    }
-    wsearch::runBenchCluster();
+    bool faults = false;
+    const wsearch::bench::Args args =
+        wsearch::bench::parseArgs(argc, argv, &faults);
+    if (faults)
+        wsearch::runBenchFaults(args);
+    else
+        wsearch::runBenchCluster(args);
     return 0;
 }

@@ -18,8 +18,8 @@
 
 #include <cstdio>
 
+#include "common.hh"
 #include "core/area_model.hh"
-#include "core/experiments.hh"
 #include "core/power_model.hh"
 #include "trace/synthetic.hh"
 #include "util/table.hh"
@@ -28,7 +28,7 @@ namespace wsearch {
 namespace {
 
 void
-splitL2Study()
+splitL2Study(const bench::Args &args)
 {
     std::printf("--- Split I/D L2 (paper SV) ---\n");
     const PlatformConfig plt1 = PlatformConfig::plt1();
@@ -40,7 +40,7 @@ splitL2Study()
         cfg.hierarchy.l2InstrPartitionWays = iways;
         SyntheticSearchTrace trace(prof, 16);
         SystemSimulator sim(cfg);
-        const uint64_t n = traceBudget(20'000'000);
+        const uint64_t n = bench::scaledRecords(args, 20'000'000);
         const SystemResult r = sim.run(trace, n / 2, n);
         const uint64_t i = r.instructions;
         const std::string label = iways == 0
@@ -99,11 +99,13 @@ powerStudy()
 } // namespace wsearch
 
 int
-main()
+main(int argc, char **argv)
 {
-    wsearch::printBanner("Discussion (SV) & Power (SIV-C)",
-                         "Split I/D L2, power and energy accounting");
-    wsearch::splitL2Study();
+    const wsearch::bench::Args args =
+        wsearch::bench::parseArgs(argc, argv);
+    wsearch::bench::banner("Discussion (SV) & Power (SIV-C)",
+                           "Split I/D L2, power and energy accounting");
+    wsearch::splitL2Study(args);
     wsearch::powerStudy();
     return 0;
 }

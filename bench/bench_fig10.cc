@@ -35,7 +35,7 @@ curveFor(uint32_t smt_ways, const bench::Args &args)
     std::vector<RunOptions> options;
     for (const uint64_t paper : paper_sizes) {
         RunOptions opt =
-            bench::baseOptions(18, 12'000'000, 30'000'000);
+            bench::baseOptions(args, 18, 12'000'000, 30'000'000);
         opt.smtWays = smt_ways;
         opt.l3Bytes = paper / prof.sweepScale;
         options.push_back(opt);
@@ -52,8 +52,8 @@ curveFor(uint32_t smt_ways, const bench::Args &args)
 void
 runFig10(const bench::Args &args)
 {
-    bench::banner(args, "Figure 10",
-                  "Trading L3 capacity for cores (iso-area)");
+    bench::banner("Figure 10", "Trading L3 capacity for cores (iso-area)",
+                  args.smoke);
     const AmatModel amat;
     const IpcModel eq1 = IpcModel::paperEq1();
     const AreaModel area;

@@ -21,8 +21,8 @@ namespace {
 void
 runFig11(const bench::Args &args)
 {
-    bench::banner(args, "Figure 11",
-                  "Cores-gain vs cache-loss decomposition");
+    bench::banner("Figure 11", "Cores-gain vs cache-loss decomposition",
+                  args.smoke);
     const WorkloadProfile prof = WorkloadProfile::s1LeafSweep();
     std::vector<uint64_t> paper_sizes = {4608ull * KiB};
     for (uint64_t mib = 9; mib <= 45; mib += 9)
@@ -31,7 +31,7 @@ runFig11(const bench::Args &args)
     std::vector<RunOptions> options;
     for (const uint64_t paper : paper_sizes) {
         RunOptions opt =
-            bench::baseOptions(18, 12'000'000, 30'000'000);
+            bench::baseOptions(args, 18, 12'000'000, 30'000'000);
         opt.smtWays = 2;
         opt.l3Bytes = paper / prof.sweepScale;
         options.push_back(opt);

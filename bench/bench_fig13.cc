@@ -96,9 +96,10 @@ void
 runFig13(const bench::Args &args)
 {
     const double t0 = bench::nowSec();
-    bench::banner(args, "Figure 13",
+    bench::banner("Figure 13",
                   "L4 capacity sweep (direct-mapped victim cache; "
-                  "1/32-scale ladder + clustered nominal-scale sweep)");
+                  "1/32-scale ladder + clustered nominal-scale sweep)",
+                  args.smoke);
     const WorkloadProfile prof = WorkloadProfile::s1LeafCapacitySweep();
     const PlatformConfig plt1 = PlatformConfig::plt1();
     const uint64_t l3_sim = (23 * MiB) / prof.sweepScale;
@@ -112,7 +113,7 @@ runFig13(const bench::Args &args)
     std::vector<uint64_t> sizes;
     std::vector<RunOptions> options;
     for (uint64_t sim = 2 * MiB; sim <= 256 * MiB; sim *= 2) {
-        RunOptions opt = bench::baseOptions(16, 24'000'000, 48'000'000);
+        RunOptions opt = bench::baseOptions(args, 16, 24'000'000, 48'000'000);
         opt.l3Bytes = l3_sim;
         opt.l4 = cache_gen_victim(sim, 64);
         sizes.push_back(sim);
@@ -141,7 +142,7 @@ runFig13(const bench::Args &args)
     }
     std::vector<RunOptions> nom_options;
     for (const uint64_t size : nom_sizes) {
-        RunOptions opt = bench::baseOptions(16, 24'000'000, 12'000'000);
+        RunOptions opt = bench::baseOptions(args, 16, 24'000'000, 12'000'000);
         opt.l3Bytes = 23 * MiB;
         opt.l4 = cache_gen_victim(size, 64);
         nom_options.push_back(opt);

@@ -53,8 +53,8 @@ nativePoint(const SystemResult &r)
 void
 runFig14(const bench::Args &args)
 {
-    bench::banner(args, "Figure 14",
-                  "Combined L4 + cache-for-cores evaluation");
+    bench::banner("Figure 14", "Combined L4 + cache-for-cores evaluation",
+                  args.smoke);
     const WorkloadProfile sweep = WorkloadProfile::s1LeafSweep();
     const PlatformConfig plt1 = PlatformConfig::plt1();
     const uint32_t scale = sweep.sweepScale;
@@ -63,7 +63,7 @@ runFig14(const bench::Args &args)
 
     // One batch for every configuration this figure needs.
     auto base = [&] {
-        return bench::baseOptions(16, 20'000'000, 48'000'000);
+        return bench::baseOptions(args, 16, 20'000'000, 48'000'000);
     };
     std::vector<RunOptions> options;
     // [0], [1]: the two L3 designs.

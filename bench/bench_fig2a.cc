@@ -23,8 +23,9 @@ namespace {
 void
 runFig2a(const bench::Args &args)
 {
-    bench::banner(args, "Figure 2a",
-                  "Search throughput scaling with core count (SMT off)");
+    bench::banner("Figure 2a",
+                  "Search throughput scaling with core count (SMT off)",
+                  args.smoke);
     const PlatformConfig plt1 = PlatformConfig::plt1();
     const WorkloadProfile prof = WorkloadProfile::s1Leaf();
 
@@ -42,7 +43,7 @@ runFig2a(const bench::Args &args)
         const uint32_t per_socket = cores / sockets;
         per_socket_counts.push_back(per_socket);
         options.push_back(bench::baseOptions(
-            per_socket, 2'000'000ull * per_socket));
+            args, per_socket, 2'000'000ull * per_socket));
         max_records =
             std::max(max_records, recordBudget(options.back()).total());
     }

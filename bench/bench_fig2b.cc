@@ -35,7 +35,7 @@ runPlatform(const PlatformConfig &plt, const std::vector<uint32_t> &smt,
         // model's eta factors carry the remainder.
         const uint32_t ways = std::min(m, 2u);
         RunOptions opt = bench::baseOptions(
-            cores, 2'000'000ull * cores * ways);
+            args, cores, 2'000'000ull * cores * ways);
         opt.smtWays = ways;
         options.push_back(opt);
     }
@@ -63,9 +63,10 @@ runPlatform(const PlatformConfig &plt, const std::vector<uint32_t> &smt,
 void
 runFig2b(const bench::Args &args)
 {
-    bench::banner(args, "Figure 2b",
+    bench::banner("Figure 2b",
                   "SMT throughput (threads share L1/L2; contention "
-                  "emergent)");
+                  "emergent)",
+                  args.smoke);
     Table t({"Platform", "SMT", "IPC/thread", "Core IPC",
              "Speedup vs SMT-1", "(paper)"});
     runPlatform(PlatformConfig::plt1(), {1, 2}, {1.0, 1.37}, args, t);

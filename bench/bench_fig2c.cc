@@ -19,13 +19,13 @@ namespace {
 void
 runFig2c(const bench::Args &args)
 {
-    bench::banner(args, "Figure 2c",
-                  "Huge pages and hardware prefetching");
+    bench::banner("Figure 2c", "Huge pages and hardware prefetching",
+                  args.smoke);
     Table t({"Platform", "Feature", "QPS improvement", "(paper)"});
 
     for (const PlatformConfig &plt :
          {PlatformConfig::plt1(), PlatformConfig::plt2()}) {
-        RunOptions base = bench::baseOptions(8, 16'000'000);
+        RunOptions base = bench::baseOptions(args, 8, 16'000'000);
         base.modelTlb = true;
         base.hugePages = false;
 

@@ -17,9 +17,9 @@ namespace {
 void
 runFig3(const bench::Args &args)
 {
-    bench::banner(args, "Figure 3",
-                  "Top-Down breakdown of an S1 leaf on PLT1");
-    const RunOptions opt = bench::baseOptions(16, 24'000'000);
+    bench::banner("Figure 3", "Top-Down breakdown of an S1 leaf on PLT1",
+                  args.smoke);
+    const RunOptions opt = bench::baseOptions(args, 16, 24'000'000);
     const SystemResult r =
         runWorkloadSweep(WorkloadProfile::s1Leaf(),
                          PlatformConfig::plt1(), {opt},

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "common.hh"
 #include "search/leaf.hh"
 #include "util/table.hh"
 
@@ -19,7 +20,7 @@ namespace {
 void
 runFig4()
 {
-    std::printf("\n== Figure 4: Allocated footprint vs cores ==\n\n");
+    bench::banner("Figure 4", "Allocated footprint vs cores");
     ProceduralIndex::Config pc; // default: GiB-scale nominal shard
     ProceduralIndex shard(pc);
 
@@ -60,8 +61,11 @@ runFig4()
 } // namespace wsearch
 
 int
-main()
+main(int argc, char **argv)
 {
+    // The footprint study has no record budget, so --smoke changes
+    // nothing; parsing still rejects unknown arguments.
+    wsearch::bench::parseArgs(argc, argv);
     wsearch::runFig4();
     return 0;
 }

@@ -11,24 +11,25 @@
 
 #include <cstdio>
 
+#include "common.hh"
 #include "search/engine_trace.hh"
 #include "stats/working_set.hh"
-#include "util/env.hh"
 #include "util/table.hh"
 
 namespace wsearch {
 namespace {
 
 void
-runFig5()
+runFig5(const bench::Args &args)
 {
-    std::printf("\n== Figure 5: Accessed working set vs threads ==\n\n");
+    bench::banner("Figure 5", "Accessed working set vs threads");
     ProceduralIndex::Config pc; // GiB-scale nominal shard
     ProceduralIndex shard(pc);
 
     Table t({"Threads", "Heap WS", "Shard WS", "Heap growth",
              "Shard growth"});
-    const uint64_t records_per_thread = traceBudget(3'000'000);
+    const uint64_t records_per_thread =
+        bench::scaledRecords(args, 3'000'000);
     double heap1 = 0, shard1 = 0;
     for (uint32_t threads : {1u, 2u, 4u, 8u, 16u}) {
         EngineTraceConfig cfg;
@@ -93,8 +94,8 @@ runFig5()
 } // namespace wsearch
 
 int
-main()
+main(int argc, char **argv)
 {
-    wsearch::runFig5();
+    wsearch::runFig5(wsearch::bench::parseArgs(argc, argv));
     return 0;
 }

@@ -17,9 +17,9 @@ namespace {
 void
 runFig6a(const bench::Args &args)
 {
-    bench::banner(args, "Figure 6a",
-                  "Cache MPKI across the hierarchy by access type");
-    RunOptions opt = bench::baseOptions(16, 32'000'000, 48'000'000);
+    bench::banner("Figure 6a", "Cache MPKI across the hierarchy by access type",
+                  args.smoke);
+    RunOptions opt = bench::baseOptions(args, 16, 32'000'000, 48'000'000);
     opt.l3Bytes = 40 * MiB;
     const SystemResult r =
         runWorkloadSweep(WorkloadProfile::s1Leaf(),

@@ -102,10 +102,11 @@ int
 runGate(const WorkloadProfile &prof, const PlatformConfig &plt1,
         bench::JsonWriter &json)
 {
-    RunOptions opt = bench::baseOptions(16, 3'000'000, 3'000'000);
+    RunOptions opt;
+    opt.cores = 16;
     opt.l3Bytes = 1 * MiB;
     opt.l3Ways = 16;
-    // Fixed record count, deliberately NOT WSEARCH_FAST-scaled: below
+    // Fixed record count, deliberately NOT --smoke-scaled: below
     // a few million records the trace is barely longer than the L3
     // refill time, so no sampling scheme can be simultaneously cheap
     // and unbiased and the band check would be meaningless. 6M records
@@ -181,10 +182,11 @@ int
 runFig6bc(const bench::Args &args)
 {
     const double t0 = bench::nowSec();
-    bench::banner(args, "Figure 6b/6c",
+    bench::banner("Figure 6b/6c",
                   "L3 hit-rate and MPKI vs capacity, by access type "
                   "(1/32-scale ladder + clustered nominal-scale "
-                  "sweep)");
+                  "sweep)",
+                  args.smoke);
     const WorkloadProfile prof = WorkloadProfile::s1LeafCapacitySweep();
     const PlatformConfig plt1 = PlatformConfig::plt1();
 
@@ -196,7 +198,7 @@ runFig6bc(const bench::Args &args)
     std::vector<uint64_t> sizes;
     std::vector<RunOptions> options;
     for (uint64_t sim = 128 * KiB; sim <= 64 * MiB; sim *= 2) {
-        RunOptions opt = bench::baseOptions(16, 24'000'000, 48'000'000);
+        RunOptions opt = bench::baseOptions(args, 16, 24'000'000, 48'000'000);
         opt.l3Bytes = sim;
         opt.l3Ways = 16; // power-of-two friendly across the sweep
         sizes.push_back(sim);
@@ -230,7 +232,7 @@ runFig6bc(const bench::Args &args)
     }
     std::vector<RunOptions> nom_options;
     for (const uint64_t size : nom_sizes) {
-        RunOptions opt = bench::baseOptions(16, 24'000'000, 12'000'000);
+        RunOptions opt = bench::baseOptions(args, 16, 24'000'000, 12'000'000);
         opt.l3Bytes = size;
         opt.l3Ways = 16;
         nom_options.push_back(opt);

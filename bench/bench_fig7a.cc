@@ -29,8 +29,8 @@ struct LevelMpki
 void
 runFig7a(const bench::Args &args)
 {
-    bench::banner(args, "Figure 7a",
-                  "MPKI decrease from eliminating conflict misses");
+    bench::banner("Figure 7a", "MPKI decrease from eliminating conflict misses",
+                  args.smoke);
     // Conflict-free variants: one level at a time gets enough ways
     // that conflicts effectively vanish (L1: single 512-way set; L2:
     // 8 sets; L3: 64-way -- high enough to kill conflicts while
@@ -41,9 +41,9 @@ runFig7a(const bench::Args &args)
     // Identical budgets for the baseline and every variant so cold
     // misses cancel in the comparison; all four replay one shared
     // trace buffer.
-    auto with_ways = [](uint32_t l1ways, uint32_t l2ways,
-                        uint32_t l3ways) {
-        RunOptions opt = bench::baseOptions(16, 16'000'000);
+    auto with_ways = [&args](uint32_t l1ways, uint32_t l2ways,
+                             uint32_t l3ways) {
+        RunOptions opt = bench::baseOptions(args, 16, 16'000'000);
         opt.l1Ways = l1ways;
         opt.l2Ways = l2ways;
         opt.l3Ways = l3ways;
@@ -85,7 +85,7 @@ runFig7a(const bench::Args &args)
     SyntheticSearchTrace trace(prof, 1);
     MissClassifier mc({32 * KiB, 64, 8});
     TraceRecord buf[4096];
-    uint64_t n = traceBudget(2'000'000);
+    uint64_t n = bench::scaledRecords(args, 2'000'000);
     while (n > 0) {
         const size_t got =
             trace.fill(buf, std::min<uint64_t>(4096, n));

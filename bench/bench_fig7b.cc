@@ -18,12 +18,12 @@ namespace {
 void
 runFig7b(const bench::Args &args)
 {
-    bench::banner(args, "Figure 7b",
-                  "MPKI vs cache block size (all levels)");
+    bench::banner("Figure 7b", "MPKI vs cache block size (all levels)",
+                  args.smoke);
     const std::vector<uint32_t> blocks = {32, 64, 128, 256, 512, 1024};
     std::vector<RunOptions> options;
     for (const uint32_t block : blocks) {
-        RunOptions opt = bench::baseOptions(16, 16'000'000);
+        RunOptions opt = bench::baseOptions(args, 16, 16'000'000);
         opt.blockBytes = block;
         options.push_back(opt);
     }

@@ -86,10 +86,11 @@ void
 runFig8(const bench::Args &args)
 {
     const double t0 = bench::nowSec();
-    bench::banner(args, "Figure 8",
+    bench::banner("Figure 8",
                   "IPC vs L3 hit rate / AMAT via CAT partitioning "
                   "(1/32-scale ladder + clustered nominal-scale "
-                  "points)");
+                  "points)",
+                  args.smoke);
     const PlatformConfig plt1 = PlatformConfig::plt1();
     // CAT on the 45 MiB L3 is exercised at 1/32 scale on the sweep
     // profile (see DESIGN.md: GiB-era locality cannot be warmed at
@@ -105,7 +106,7 @@ runFig8(const bench::Args &args)
     std::vector<uint32_t> way_counts;
     std::vector<RunOptions> options;
     for (uint32_t ways = 2; ways <= 20; ways += 2) {
-        RunOptions opt = bench::baseOptions(16, 16'000'000, 32'000'000);
+        RunOptions opt = bench::baseOptions(args, 16, 16'000'000, 32'000'000);
         opt.l3Bytes = plt1.l3Bytes / scale;
         opt.l3PartitionWays = ways;
         way_counts.push_back(ways);
@@ -146,7 +147,7 @@ runFig8(const bench::Args &args)
         nom_ways = {2, 8, 14, 20};
     std::vector<RunOptions> nom_options;
     for (const uint32_t ways : nom_ways) {
-        RunOptions opt = bench::baseOptions(16, 24'000'000, 12'000'000);
+        RunOptions opt = bench::baseOptions(args, 16, 24'000'000, 12'000'000);
         opt.l3Bytes = plt1.l3Bytes;
         opt.l3PartitionWays = ways;
         nom_options.push_back(opt);

@@ -64,10 +64,11 @@ void
 runFig9(const bench::Args &args)
 {
     const double t0 = bench::nowSec();
-    bench::banner(args, "Figure 9",
+    bench::banner("Figure 9",
                   "QPS vs L3-equivalent area (cores x CAT ways; "
                   "1/32-scale grid + clustered nominal-scale "
-                  "highlight points)");
+                  "highlight points)",
+                  args.smoke);
     const PlatformConfig plt1 = PlatformConfig::plt1();
     const WorkloadProfile prof = WorkloadProfile::s1LeafSweep();
     const AreaModel area;
@@ -82,7 +83,7 @@ runFig9(const bench::Args &args)
     for (const uint32_t cores : core_counts) {
         for (uint32_t ways = 2; ways <= 20; ways += 2) {
             RunOptions opt =
-                bench::baseOptions(cores, 8'000'000, 24'000'000);
+                bench::baseOptions(args, cores, 8'000'000, 24'000'000);
             opt.l3Bytes = plt1.l3Bytes / prof.sweepScale;
             opt.l3PartitionWays = ways;
             points.push_back({cores, ways});
@@ -141,7 +142,7 @@ runFig9(const bench::Args &args)
     std::vector<RunOptions> nom_options;
     for (const Point &p : nom_points) {
         RunOptions opt =
-            bench::baseOptions(p.cores, 16'000'000, 8'000'000);
+            bench::baseOptions(args, p.cores, 16'000'000, 8'000'000);
         opt.l3Bytes = plt1.l3Bytes;
         opt.l3PartitionWays = p.ways;
         nom_options.push_back(opt);

@@ -7,9 +7,8 @@
  * p50/p99, and merge counters; the mixed-phase p99 is the "what does
  * ingest cost the reader" number.
  *
- * Flags / env:
+ * Flags:
  *   --smoke        small corpus + short phases; the CI gate
- *   WSEARCH_FAST=1 same as --smoke
  *
  * Output: human table on stdout plus BENCH_ingest.json.
  */
@@ -25,7 +24,6 @@
 #include "search/live/merge_worker.hh"
 #include "search/live/snapshot_search.hh"
 #include "serve/latency_histogram.hh"
-#include "util/env.hh"
 #include "util/table.hh"
 
 namespace wsearch {
@@ -220,8 +218,6 @@ runBenchIngest(bool smoke)
 int
 main(int argc, char **argv)
 {
-    const wsearch::bench::Args args =
-        wsearch::bench::parseArgs(argc, argv);
-    return wsearch::runBenchIngest(args.smoke ||
-                                   wsearch::fastMode());
+    return wsearch::runBenchIngest(
+        wsearch::bench::parseArgs(argc, argv).smoke);
 }

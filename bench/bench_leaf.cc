@@ -14,22 +14,19 @@
  * fatal, so both the pruning speedup and the packed-codec speedup
  * always stand for the same answers.
  *
- * Flags / env:
+ * Flags:
  *   --smoke        tiny corpus + few queries; the CI equivalence gate
- *   WSEARCH_FAST=1 same as --smoke
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common.hh"
 #include "search/executor.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -251,14 +248,6 @@ runBenchLeaf(bool smoke)
 int
 main(int argc, char **argv)
 {
-    bool smoke = wsearch::fastMode();
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else {
-            std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
-            return 2;
-        }
-    }
-    return wsearch::runBenchLeaf(smoke);
+    return wsearch::runBenchLeaf(
+        wsearch::bench::parseArgs(argc, argv).smoke);
 }

@@ -120,7 +120,7 @@ void
 runMicro(const bench::Args &args)
 {
     const double t0 = bench::nowSec();
-    printBanner("Microbenchmarks", "Simulator hot-path throughput");
+    bench::banner("Microbenchmarks", "Simulator hot-path throughput");
     // Smoke mode shrinks iteration counts; the checksums stay
     // deterministic at either scale (config carries the mode).
     const uint64_t k = args.smoke ? 1 : 16;

@@ -40,9 +40,10 @@ int
 runReplacement(const bench::Args &args)
 {
     const double bench_t0 = bench::nowSec();
-    bench::banner(args, "Replacement & inclusion",
+    bench::banner("Replacement & inclusion",
                   "LLC policy study on the Fig. 6bc capacity ladder "
-                  "(1/32-scale)");
+                  "(1/32-scale)",
+                  args.smoke);
     const WorkloadProfile prof = WorkloadProfile::s1LeafCapacitySweep();
     const PlatformConfig plt1 = PlatformConfig::plt1();
     const uint32_t scale = prof.sweepScale;
@@ -53,7 +54,7 @@ runReplacement(const bench::Args &args)
     for (const uint64_t sim : sizes) {
         for (const Variant &v : kVariants) {
             RunOptions opt =
-                bench::baseOptions(16, 8'000'000, 16'000'000);
+                bench::baseOptions(args, 16, 8'000'000, 16'000'000);
             opt.l3Bytes = sim;
             opt.l3Ways = 16;
             opt.llcRepl = v.repl;

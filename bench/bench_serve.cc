@@ -19,8 +19,8 @@
  *      scripts/bench_diff.py; the throughput/speedup columns are
  *      wall-clock and only meaningful on multi-core hardware.
  *
- * WSEARCH_FAST=1 shrinks the run; WSEARCH_SERVE_WORKERS overrides the
- * worker count (default 2).
+ * --smoke shrinks the corpus, query counts and point durations;
+ * sections 1-3 run 2 workers.
  */
 
 #include <algorithm>
@@ -34,7 +34,6 @@
 #include "serve/loadgen.hh"
 #include "serve/serve_stats.hh"
 #include "serve/worker_pool.hh"
-#include "util/env.hh"
 #include "util/table.hh"
 
 namespace wsearch {
@@ -53,14 +52,11 @@ trafficFor(const CorpusConfig &corpus)
 }
 
 void
-runBenchServe()
+runBenchServe(const bench::Args &args)
 {
     const double t0 = bench::nowSec();
-    const bool fast = fastMode();
-    const uint32_t workers = static_cast<uint32_t>(
-        envU64("WSEARCH_SERVE_WORKERS", 2));
-    if (workers < 1)
-        wsearch_fatal("WSEARCH_SERVE_WORKERS must be >= 1");
+    const bool fast = args.smoke;
+    const uint32_t workers = 2;
 
     CorpusConfig cc;
     cc.numDocs = fast ? 6000 : 20000;
@@ -294,8 +290,8 @@ runBenchServe()
 } // namespace wsearch
 
 int
-main()
+main(int argc, char **argv)
 {
-    wsearch::runBenchServe();
+    wsearch::runBenchServe(wsearch::bench::parseArgs(argc, argv));
     return 0;
 }

@@ -36,13 +36,14 @@ namespace {
 std::vector<RunOptions>
 sweepOptions(const bench::Args &args)
 {
-    // Smaller budgets in smoke mode: the point there is exercising
-    // the machinery (under TSan in CI), not timing fidelity.
+    // Smaller nominal budgets in smoke mode (then 8x-scaled like every
+    // driver's): the point there is exercising the machinery (under
+    // TSan in CI), not timing fidelity.
     const uint64_t measure = args.smoke ? 1'500'000 : 8'000'000;
     const uint64_t warmup = args.smoke ? 1'000'000 : 16'000'000;
     std::vector<RunOptions> options;
     for (uint64_t sim = 128 * KiB; sim <= 16 * MiB; sim *= 2) {
-        RunOptions opt = bench::baseOptions(16, measure, warmup);
+        RunOptions opt = bench::baseOptions(args, 16, measure, warmup);
         opt.l3Bytes = sim;
         opt.l3Ways = 16;
         options.push_back(opt);
@@ -100,11 +101,9 @@ runBenchSweep(const bench::Args &args)
 {
     const double bench_t0 = bench::nowSec();
     // In this driver --smoke shrinks budgets but the gated runs stay
-    // exact, so skip the "all numbers are estimates" banner notice;
-    // only the explicitly labelled sampled row is an estimate.
-    bench::Args banner_args = args;
-    banner_args.smoke = false;
-    bench::banner(banner_args, "Sweep engine",
+    // exact, so no "all numbers are estimates" banner notice; only the
+    // explicitly labelled sampled row is an estimate.
+    bench::banner("Sweep engine",
                   "serial-classic vs shared-buffer vs parallel replay "
                   "(8-config L3 capacity sweep)");
     const WorkloadProfile prof = WorkloadProfile::s1LeafCapacitySweep();
@@ -199,8 +198,8 @@ runBenchSweep(const bench::Args &args)
     // absolute LLC-miss error matches clustered's, then report the
     // simulated-records ratio -- the honest "speedup at equal error"
     // number. Informational, not gated (the statistical gate lives in
-    // bench_fig6bc); in WSEARCH_FAST smoke runs the trace is short
-    // enough that the comparison is noisy.
+    // bench_fig6bc); in smoke runs the trace is short enough that
+    // the comparison is noisy.
     {
         // Clustered row: the SAME 8-config sweep as every row above,
         // so its speedup column is apples-to-apples with

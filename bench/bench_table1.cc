@@ -38,9 +38,10 @@ struct Row
 void
 runTable1(const bench::Args &args)
 {
-    bench::banner(args, "Table I",
+    bench::banner("Table I",
                   "Key performance metrics for search, SPEC CPU2006, "
-                  "and CloudSuite");
+                  "and CloudSuite",
+                  args.smoke);
 
     const PlatformConfig plt1 = PlatformConfig::plt1();
     const PlatformConfig plt2 = PlatformConfig::plt2();
@@ -78,7 +79,7 @@ runTable1(const bench::Args &args)
     uint64_t max_records = 0;
     for (const auto &row : rows) {
         RunOptions opt = bench::baseOptions(
-            row.cores, row.cores >= 8 ? 24'000'000 : 8'000'000);
+            args, row.cores, row.cores >= 8 ? 24'000'000 : 8'000'000);
         specs.push_back({row.profile, row.platform, opt});
         max_records = std::max(max_records, recordBudget(opt).total());
     }

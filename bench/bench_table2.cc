@@ -5,8 +5,7 @@
  * library's PlatformConfig presets.
  */
 
-#include <cstdio>
-
+#include "common.hh"
 #include "core/platform.hh"
 #include "util/table.hh"
 
@@ -16,7 +15,7 @@ namespace {
 void
 runTable2()
 {
-    std::printf("\n== Table II: Key attributes of PLT1 and PLT2 ==\n\n");
+    bench::banner("Table II", "Key attributes of PLT1 and PLT2");
     const PlatformConfig p1 = PlatformConfig::plt1();
     const PlatformConfig p2 = PlatformConfig::plt2();
 
@@ -46,8 +45,11 @@ runTable2()
 } // namespace wsearch
 
 int
-main()
+main(int argc, char **argv)
 {
+    // A static table: --smoke changes nothing; parsing still rejects
+    // unknown arguments.
+    wsearch::bench::parseArgs(argc, argv);
     wsearch::runTable2();
     return 0;
 }

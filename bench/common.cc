@@ -9,31 +9,41 @@ namespace wsearch {
 namespace bench {
 
 Args
-parseArgs(int argc, char **argv)
+parseArgs(int argc, char **argv, bool *faults)
 {
     Args args;
+    if (faults)
+        *faults = false;
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
         if (std::strcmp(a, "--smoke") == 0) {
             args.smoke = true;
-        } else if (std::strncmp(a, "--threads=", 10) == 0) {
-            args.threads =
-                static_cast<uint32_t>(std::strtoul(a + 10, nullptr, 10));
-        } else if (std::strncmp(a, "--sampling=", 11) == 0) {
-            const char *p = a + 11;
-            if (std::strcmp(p, "uniform") == 0) {
-                args.policy = SamplingPolicy::kUniform;
-                args.policySet = true;
-            } else if (std::strcmp(p, "clustered") == 0) {
-                args.policy = SamplingPolicy::kClustered;
-                args.policySet = true;
-            } else if (std::strcmp(p, "off") == 0) {
-                args.policy = SamplingPolicy::kOff;
-                args.policySet = true;
-            }
+            continue;
         }
+        if (faults && std::strcmp(a, "--faults") == 0) {
+            *faults = true;
+            continue;
+        }
+        if (std::strncmp(a, "--threads=", 10) == 0) {
+            char *end = nullptr;
+            args.threads =
+                static_cast<uint32_t>(std::strtoul(a + 10, &end, 10));
+            if (end != a + 10 && *end == '\0')
+                continue;
+        }
+        std::fprintf(stderr,
+                     "%s: unknown argument '%s'\n"
+                     "usage: %s [--smoke] [--threads=N]%s\n",
+                     argv[0], a, argv[0], faults ? " [--faults]" : "");
+        std::exit(2);
     }
     return args;
+}
+
+uint64_t
+scaledRecords(const Args &args, uint64_t nominal)
+{
+    return args.smoke ? nominal / 8 : nominal;
 }
 
 SweepControl
@@ -49,34 +59,33 @@ sweepControl(const Args &args, uint64_t total_records)
 }
 
 SweepControl
-clusteredControl(const Args &args, uint64_t total_records,
-                 SamplingPolicy fallback)
+clusteredControl(const Args &args, uint64_t total_records)
 {
     SweepControl control;
     control.threads = args.threads;
-    control.policy = args.policySet ? args.policy : fallback;
-    if (control.policy != SamplingPolicy::kOff)
-        control.rep = defaultRepresentativeSampling(total_records);
+    control.policy = SamplingPolicy::kClustered;
+    control.rep = defaultRepresentativeSampling(total_records);
     return control;
 }
 
 RunOptions
-baseOptions(uint32_t cores, uint64_t measure_records,
+baseOptions(const Args &args, uint32_t cores, uint64_t measure_records,
             uint64_t warmup_records)
 {
     RunOptions opt;
     opt.cores = cores;
-    opt.measureRecords = measure_records;
-    opt.warmupRecords = warmup_records;
+    opt.measureRecords = scaledRecords(args, measure_records);
+    opt.warmupRecords = scaledRecords(args, warmup_records);
     return opt;
 }
 
 void
-banner(const Args &args, const std::string &experiment_id,
-       const std::string &description)
+banner(const std::string &experiment_id, const std::string &description,
+       bool sampled)
 {
-    printBanner(experiment_id, description);
-    if (args.smoke) {
+    std::printf("\n== %s: %s ==\n\n", experiment_id.c_str(),
+                description.c_str());
+    if (sampled) {
         // The plan's shape does not depend on the trace length; any
         // length that splits evenly into the windows shows it.
         const uint64_t n = 960'000;

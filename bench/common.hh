@@ -3,18 +3,22 @@
  * Shared harness for the figure/table bench drivers: command-line
  * parsing (--smoke, --threads), the standard RunOptions/budget
  * boilerplate every driver used to duplicate, the SweepControl fed to
- * the parallel sweep engine, wall-clock timing, and a minimal JSON
- * emitter for machine-readable bench output (BENCH_*.json).
+ * the parallel sweep engine, the banner, wall-clock timing, and a
+ * minimal JSON emitter for machine-readable bench output
+ * (BENCH_*.json).
  *
- * Runtime knobs (see README.md):
- *   WSEARCH_SIM_THREADS  sweep worker threads (default: hardware
- *                        concurrency); --threads=N overrides
- *   --smoke              sampled quick-look mode: a uniform
- *                        representative-window plan (12 of 96
- *                        windows, each after a one-window warmup)
- *                        instead of the full contiguous replay;
- *                        results are ESTIMATES with confidence bands
- *                        and are banner-labelled as sampled
+ * The command line is the only way to size a run; any other argument
+ * prints a usage line and exits 2:
+ *   --smoke       quick-look mode. Record budgets shrink 8x
+ *                 (scaledRecords), and the sweeps replay a uniform
+ *                 representative-window plan (12 of 96 windows, each
+ *                 after a one-window warmup) instead of the full
+ *                 contiguous replay; those results are ESTIMATES with
+ *                 confidence bands and are banner-labelled as
+ *                 sampled. The serving drivers shrink their corpus
+ *                 and query counts instead.
+ *   --threads=N   sweep worker threads (default: hardware concurrency)
+ * bench_cluster also takes --faults (its fault-injection sweep).
  */
 
 #ifndef WSEARCH_BENCH_COMMON_HH
@@ -32,21 +36,19 @@ namespace bench {
 /** Command-line knobs shared by all drivers. */
 struct Args
 {
-    bool smoke = false;   ///< sampled quick-look mode
-    uint32_t threads = 0; ///< sweep workers; 0 = WSEARCH_SIM_THREADS
-    /**
-     * Representative-window sampling policy override
-     * (--sampling=off|uniform|clustered). kOff means "driver default":
-     * drivers that support representative sampling pick their own
-     * policy (typically kClustered for nominal-scale sections).
-     */
-    SamplingPolicy policy = SamplingPolicy::kOff;
-    bool policySet = false; ///< --sampling= was given explicitly
+    bool smoke = false;   ///< quick-look mode (see the file comment)
+    uint32_t threads = 0; ///< sweep workers; 0 = hardware concurrency
 };
 
-/** Parse --smoke / --threads=N / --sampling=off|uniform|clustered;
- *  unknown arguments are ignored. */
-Args parseArgs(int argc, char **argv);
+/**
+ * Parse --smoke and --threads=N, plus --faults when @p faults is given
+ * (set to whether it was passed). Any other argument prints a usage
+ * line and exits 2, so a typo never silently runs the full-size bench.
+ */
+Args parseArgs(int argc, char **argv, bool *faults = nullptr);
+
+/** @p nominal records, or an eighth of them under --smoke. */
+uint64_t scaledRecords(const Args &args, uint64_t nominal);
 
 /**
  * SweepControl implied by @p args for a driver replaying
@@ -57,31 +59,30 @@ Args parseArgs(int argc, char **argv);
 SweepControl sweepControl(const Args &args, uint64_t total_records);
 
 /**
- * SweepControl running representative-window sampling over
- * @p total_records with the default knobs (~96 windows, 12 sampled;
- * WSEARCH_SAMPLE_WINDOWS / WSEARCH_SAMPLE_CLUSTERS / WSEARCH_SAMPLE_SEED
- * override -- see README). Policy is @p fallback unless --sampling=
- * was given. This is what lets the fig6bc/fig13 capacity sweeps run
- * at full nominal working-set sizes: only ~1/4 of each trace is
- * simulated and every estimate carries a confidence band.
+ * SweepControl running clustered representative-window sampling over
+ * @p total_records with the default knobs (96 windows, 12 clusters).
+ * This is what lets the fig6bc/fig13 capacity sweeps run at full
+ * nominal working-set sizes: only ~1/4 of each trace is simulated and
+ * every estimate carries a confidence band.
  */
-SweepControl clusteredControl(const Args &args, uint64_t total_records,
-                              SamplingPolicy fallback =
-                                  SamplingPolicy::kClustered);
+SweepControl clusteredControl(const Args &args, uint64_t total_records);
 
 /**
- * The standard driver preamble: cores + nominal record budgets
- * (warmup 0 = half the measure budget, the repo-wide default).
+ * The standard driver preamble: cores + record budgets, each
+ * scaledRecords() of its nominal value (warmup 0 = half the measure
+ * budget, the repo-wide default).
  */
-RunOptions baseOptions(uint32_t cores, uint64_t measure_records,
+RunOptions baseOptions(const Args &args, uint32_t cores,
+                       uint64_t measure_records,
                        uint64_t warmup_records = 0);
 
 /**
- * printBanner plus the sampled-mode notice when @p args.smoke: any
- * numbers printed under a sampled banner are estimates.
+ * Print the standard bench banner, plus the sampled-mode notice when
+ * @p sampled (pass args.smoke from a driver whose smoke run replays
+ * sampling plans): any numbers printed under it are estimates.
  */
-void banner(const Args &args, const std::string &experiment_id,
-            const std::string &description);
+void banner(const std::string &experiment_id,
+            const std::string &description, bool sampled = false);
 
 /** Monotonic wall clock in seconds. */
 double nowSec();

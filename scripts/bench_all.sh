@@ -1,18 +1,23 @@
 #!/usr/bin/env bash
-# Run the smoke-mode bench suite and aggregate the per-driver
+# Run every bench driver in smoke mode and aggregate the per-driver
 # BENCH_*.json artifacts into one BENCH_all.json for CI upload and
-# scripts/bench_diff.py gating.
+# scripts/bench_diff.py gating. The table-only drivers write no JSON;
+# they run for their exit status.
 #
 # Usage: scripts/bench_all.sh [build-dir]
 #   build-dir          defaults to ./build
-#   WSEARCH_BENCHES    space-separated driver subset (default:
-#                      "leaf ingest serve sweep replacement micro
-#                      ablation fig6bc fig8 fig9 fig13")
+#   WSEARCH_BENCHES    space-separated driver subset (default: every
+#                      driver but bench_cluster, which CI runs on its
+#                      own, with and without --faults)
 #   Artifacts are written to the current working directory.
 set -euo pipefail
 
 BUILD_DIR=${1:-build}
-BENCHES=${WSEARCH_BENCHES:-"leaf ingest serve sweep replacement micro ablation fig6bc fig8 fig9 fig13"}
+# The JSON-emitting drivers first, then the table-only ones.
+ALL_BENCHES="leaf ingest serve sweep replacement micro ablation fig6bc fig8
+fig9 fig13 table1 table2 fig2a fig2b fig2c fig3 fig4 fig5 fig6a fig7a fig7b
+fig10 fig11 fig14 discussion"
+BENCHES=${WSEARCH_BENCHES:-$ALL_BENCHES}
 
 if [ ! -d "$BUILD_DIR/bench" ]; then
     echo "bench_all.sh: no $BUILD_DIR/bench (build first)" >&2
@@ -26,21 +31,10 @@ for b in $BENCHES; do
         exit 2
     fi
     echo "== bench_$b (smoke) =="
-    case "$b" in
-        serve)
-            # bench_serve has no --smoke flag; WSEARCH_FAST shrinks it.
-            WSEARCH_FAST=1 "$bin"
-            ;;
-        sweep|replacement|micro|ablation|fig6bc|fig8|fig9|fig13)
-            # fig6bc doubles as the clustered-sampling statistical
-            # gate: it exits nonzero if the full-replay oracle lands
-            # outside the clustered estimate's confidence band.
-            WSEARCH_FAST=1 "$bin" --smoke
-            ;;
-        *)
-            "$bin" --smoke
-            ;;
-    esac
+    # fig6bc doubles as the clustered-sampling statistical gate: it
+    # exits nonzero if the full-replay oracle lands outside the
+    # clustered estimate's confidence band.
+    "$bin" --smoke
     echo
 done
 

@@ -1,7 +1,6 @@
 #include "core/experiments.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <memory>
 
@@ -48,9 +47,8 @@ RecordBudget
 recordBudget(const RunOptions &opt)
 {
     RecordBudget b;
-    b.measure = traceBudget(opt.measureRecords);
-    b.warmup = opt.warmupRecords ? traceBudget(opt.warmupRecords)
-                                 : b.measure / 2;
+    b.measure = opt.measureRecords;
+    b.warmup = opt.warmupRecords ? opt.warmupRecords : b.measure / 2;
     return b;
 }
 
@@ -176,17 +174,6 @@ runWorkloads(const std::vector<WorkloadSpec> &specs, uint32_t threads)
     SweepControl control;
     control.threads = threads;
     return runWorkloads(specs, control);
-}
-
-void
-printBanner(const std::string &experiment_id,
-            const std::string &description)
-{
-    std::printf("\n== %s: %s ==\n", experiment_id.c_str(),
-                description.c_str());
-    if (fastMode())
-        std::printf("(WSEARCH_FAST: reduced record budgets)\n");
-    std::printf("\n");
 }
 
 } // namespace wsearch

@@ -2,8 +2,7 @@
  * @file
  * Shared experiment-harness helpers used by the bench binaries: run a
  * (workload, platform, hierarchy-variation) combination through the
- * full system simulator with environment-scaled record budgets, one
- * at a time or as a parallel sweep.
+ * full system simulator, one at a time or as a parallel sweep.
  */
 
 #ifndef WSEARCH_CORE_EXPERIMENTS_HH
@@ -18,7 +17,6 @@
 #include "cpu/system.hh"
 #include "memsim/sweep.hh"
 #include "trace/profile.hh"
-#include "util/env.hh"
 
 namespace wsearch {
 
@@ -42,8 +40,8 @@ struct RunOptions
     std::optional<ReplPolicy> llcRepl; ///< override LLC replacement
     uint32_t llcSlices = 1;            ///< address-hashed LLC slices
     CoherenceProtocol coherence = CoherenceProtocol::None;
-    uint64_t warmupRecords = 0;  ///< 0: derived from measure budget
-    uint64_t measureRecords = 20'000'000; ///< pre-scaling nominal
+    uint64_t warmupRecords = 0;  ///< 0: half of measureRecords
+    uint64_t measureRecords = 20'000'000;
 };
 
 /** Build the full SystemConfig one RunOptions variation implies. */
@@ -51,7 +49,7 @@ SystemConfig makeSystemConfig(const WorkloadProfile &profile,
                               const PlatformConfig &platform,
                               const RunOptions &opt);
 
-/** Environment-scaled (warmup, measure) record budgets of @p opt. */
+/** The (warmup, measure) record budgets of @p opt. */
 struct RecordBudget
 {
     uint64_t warmup = 0;
@@ -103,10 +101,6 @@ runWorkloads(const std::vector<WorkloadSpec> &specs,
 std::vector<SystemResult>
 runWorkloads(const std::vector<WorkloadSpec> &specs,
              uint32_t threads = 0);
-
-/** Print the standard bench banner. */
-void printBanner(const std::string &experiment_id,
-                 const std::string &description);
 
 } // namespace wsearch
 

@@ -7,8 +7,6 @@
 #include <numeric>
 #include <thread>
 
-#include "util/env.hh"
-
 namespace wsearch {
 
 const char *
@@ -28,21 +26,14 @@ samplingPolicyName(SamplingPolicy p)
 uint64_t
 sampleSeed(uint64_t s)
 {
-    if (s)
-        return s;
-    // Fixed built-in default keeps CI runs reproducible without any
-    // environment setup; WSEARCH_SAMPLE_SEED re-rolls the clustering.
-    return envU64("WSEARCH_SAMPLE_SEED", 0x5eedc0de12345678ull);
+    // A fixed built-in default keeps every run reproducible.
+    return s ? s : 0x5eedc0de12345678ull;
 }
 
 RepresentativeSampling
 defaultRepresentativeSampling(uint64_t total_records, uint32_t windows,
                               uint32_t sample_windows)
 {
-    windows = static_cast<uint32_t>(
-        envU64("WSEARCH_SAMPLE_WINDOWS", windows));
-    sample_windows = static_cast<uint32_t>(
-        envU64("WSEARCH_SAMPLE_CLUSTERS", sample_windows));
     RepresentativeSampling rep;
     if (total_records == 0 || windows == 0 || sample_windows == 0)
         return rep;
@@ -53,8 +44,7 @@ defaultRepresentativeSampling(uint64_t total_records, uint32_t windows,
     // would have loaded; a full window of uncounted warmup before each
     // measured window keeps that cold-state bias inside the reported
     // band (the bench_fig6bc gate checks exactly this).
-    rep.warmupRecords =
-        envU64("WSEARCH_SAMPLE_WARMUP", rep.windowRecords);
+    rep.warmupRecords = rep.windowRecords;
     rep.sampleWindows = sample_windows;
     return rep;
 }
@@ -265,9 +255,6 @@ planVariance(const SamplingPlan &plan,
 uint32_t
 simThreads()
 {
-    const uint64_t v = envU64("WSEARCH_SIM_THREADS", 0);
-    if (v > 0)
-        return static_cast<uint32_t>(std::min<uint64_t>(v, 1024));
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }

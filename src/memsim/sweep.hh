@@ -9,11 +9,12 @@
  * CacheHierarchy -- no sharing and no locks on the hot path, and
  * bit-identical SimResults to the serial runTrace.
  *
- * The worker count comes from WSEARCH_SIM_THREADS (default: hardware
+ * The worker count is SweepControl::threads (0: hardware
  * concurrency). Representative-window sampling (uniform or clustered
  * plans, see SamplingPlan) trades exactness for speed; sampled
  * results carry a nonzero SimResult::sampledWindows plus a confidence
- * band and must be reported as estimates.
+ * band and must be reported as estimates. Every knob is an argument:
+ * nothing here reads the environment.
  */
 
 #ifndef WSEARCH_MEMSIM_SWEEP_HH
@@ -30,10 +31,7 @@
 
 namespace wsearch {
 
-/**
- * Sweep worker count: WSEARCH_SIM_THREADS when set, else hardware
- * concurrency (at least 1).
- */
+/** Default sweep worker count: hardware concurrency (at least 1). */
 uint32_t simThreads();
 
 /**
@@ -71,9 +69,8 @@ struct RepresentativeSampling
     uint64_t windowRecords = 0; ///< records per window; 0 disables
     uint64_t warmupRecords = 0; ///< re-warm before each selected window
     uint32_t sampleWindows = 0; ///< windows simulated (clusters in kClustered)
-    /** Clustering seed; 0 resolves WSEARCH_SAMPLE_SEED (else a fixed
-     *  built-in), so CI runs are reproducible by default and
-     *  re-rollable by env. */
+    /** Clustering seed; 0 resolves to a fixed built-in (sampleSeed),
+     *  so runs are reproducible by default. */
     uint64_t seed = 0;
     /**
      * Relative floor on the confidence-band half-width. The analytic
@@ -91,16 +88,16 @@ struct RepresentativeSampling
 };
 
 /**
- * Sampling knobs for WSEARCH_FAST-aware drivers: ~@p windows windows
- * over @p total_records with one-window warmups, WSEARCH_SAMPLE_*
- * env overrides applied (see README).
+ * The default sampling knobs: ~@p windows windows over
+ * @p total_records, @p sample_windows of them simulated, each after a
+ * one-window warmup.
  */
 RepresentativeSampling
 defaultRepresentativeSampling(uint64_t total_records,
                               uint32_t windows = 96,
                               uint32_t sample_windows = 12);
 
-/** Resolve a sampling seed: @p s, else WSEARCH_SAMPLE_SEED, else fixed. */
+/** Resolve a sampling seed: @p s, else the fixed built-in seed. */
 uint64_t sampleSeed(uint64_t s);
 
 /** One selected representative window of a SamplingPlan. */

@@ -45,21 +45,6 @@ RootServer::merge(const std::vector<std::vector<ScoredDoc>> &partials,
 MergedPage
 RootServer::mergeWithCoverage(
     const std::vector<std::vector<ScoredDoc>> &partials,
-    const std::vector<uint8_t> &answered, uint32_t k)
-{
-    wsearch_assert(partials.size() == answered.size());
-    MergedPage page;
-    page.shardsTotal = static_cast<uint32_t>(partials.size());
-    for (const uint8_t a : answered)
-        page.shardsAnswered += a ? 1 : 0;
-    page.docs = dedupMerge(partials, k,
-                           [&](size_t s) { return answered[s] != 0; });
-    return page;
-}
-
-MergedPage
-RootServer::mergeWithCoverage(
-    const std::vector<std::vector<ScoredDoc>> &partials,
     const std::vector<ShardOutcome> &outcomes, uint32_t k)
 {
     wsearch_assert(partials.size() == outcomes.size());

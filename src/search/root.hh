@@ -86,17 +86,9 @@ class RootServer
           uint32_t k);
 
     /**
-     * Coverage-aware merge: only partials[s] with answered[s] != 0
-     * contribute; the page reports shardsAnswered/shardsTotal.
-     * @p answered must be the same length as @p partials.
-     */
-    static MergedPage
-    mergeWithCoverage(const std::vector<std::vector<ScoredDoc>> &partials,
-                      const std::vector<uint8_t> &answered, uint32_t k);
-
-    /**
-     * Outcome-aware merge: only ShardOutcome::Answered partials
-     * contribute; Unavailable shards are additionally reported in
+     * Coverage-aware merge: only ShardOutcome::Answered partials
+     * contribute; the page reports shardsAnswered/shardsTotal, and
+     * Unavailable shards are additionally reported in
      * MergedPage::shardsUnavailable so callers can distinguish "late"
      * from "dead". @p outcomes must be the same length as @p partials.
      */

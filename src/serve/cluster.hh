@@ -65,9 +65,8 @@ struct ClusterConfig
     /** Replica pools per shard (>= 2 for hedging to have a target). */
     uint32_t replicasPerShard = 1;
     /** Per-replica pool config; leaf docIdStride/docIdOffset are
-     *  overwritten per shard when partitionDocIds is set, and
-     *  shardId/replicaId are always overwritten with the replica's
-     *  cluster coordinates. */
+     *  overwritten per shard so results carry global doc ids, and
+     *  shardId/replicaId with the replica's cluster coordinates. */
     LeafWorkerPool::Config pool;
     /** Per-query budget (ns; 0 = wait for every shard, no deadline). */
     uint64_t deadlineNs = 50'000'000;
@@ -86,9 +85,6 @@ struct ClusterConfig
     /** How long an ejected replica sits out before one probe query
      *  re-admits it (ns). */
     uint64_t probationNs = 50'000'000;
-    /** Set each shard's leaf doc-id mapping to (stride = S,
-     *  offset = shard) so results carry global doc ids. */
-    bool partitionDocIds = true;
     /** Time source for gather waits, backoff, and ejection windows;
      *  fanned out to every pool and leaf (null = real clock). */
     Clock *clock = nullptr;
@@ -191,7 +187,7 @@ class ClusterServer
   public:
     /**
      * @param shards non-owning, disjoint partitions (shard s serving
-     *               global docs s, s + S, ... when partitionDocIds);
+     *               global docs s, s + S, ...);
      *               must outlive the cluster
      */
     ClusterServer(const std::vector<const IndexShard *> &shards,
@@ -201,7 +197,7 @@ class ClusterServer
      * Live cluster: shard s is served from @p indexes[s]'s current
      * snapshot by every replica; new versions reach replicas via
      * rolloutShard()/rolloutAll(). Live indexes carry global doc ids
-     * already, so partitionDocIds is ignored (identity mapping).
+     * already (identity mapping).
      * @p indexes are non-owning and must outlive the cluster.
      */
     ClusterServer(const std::vector<LiveIndex *> &indexes,

@@ -16,19 +16,19 @@ leafConfigFor(const LeafWorkerPool::Config &cfg)
 }
 
 /**
- * Resolve Config::cacheStripes (0 = auto) to a power of two, then
- * clamp so a non-zero capacity funds every stripe with at least one
- * entry: capacity splits evenly across stripes, and a segment that
- * rounded down to zero entries would shed its whole hash class to
- * miss even though the configured total capacity is positive.
+ * Lock stripes for the cache tier: the smallest power of two >=
+ * numWorkers, capped at 16 -- enough that concurrent admissions on
+ * distinct queries take distinct locks -- then clamped so a non-zero
+ * capacity funds every stripe with at least one entry: capacity
+ * splits evenly across stripes, and a segment that rounded down to
+ * zero entries would shed its whole hash class to miss even though
+ * the configured total capacity is positive.
  */
 size_t
 stripeCountFor(const LeafWorkerPool::Config &cfg)
 {
-    size_t want = cfg.cacheStripes;
-    if (want == 0)
-        want = std::min<size_t>(
-            16, std::max<uint32_t>(1, cfg.numWorkers));
+    const size_t want =
+        std::min<size_t>(16, std::max<uint32_t>(1, cfg.numWorkers));
     size_t n = 1;
     while (n < want)
         n *= 2;

@@ -108,25 +108,16 @@ class LeafWorkerPool
         size_t queueCapacity = 1024;
         /**
          * Query-result cache entries in front of the queue (0 off).
-         * Since the tier is lock-striped, capacity is PARTITIONED
-         * across stripes (capacity / stripes per segment), not pooled
+         * Since the tier is lock-striped (numWorkers rounded up to a
+         * power of two, at most 16 and at most the capacity), capacity
+         * is PARTITIONED across stripes (capacity / stripes per
+         * segment), not pooled
          * in one global LRU: a hot segment evicts at its own share
          * while cold segments sit underfull, so heavily skewed query
          * mixes can see a lower hit rate than a single LRU of the
          * same total capacity would give.
          */
         size_t cacheCapacity = 0;
-        /**
-         * Lock stripes for the cache tier. 0 = auto: the smallest
-         * power of two >= numWorkers, clamped to 16 -- enough that
-         * concurrent admissions on distinct queries take distinct
-         * locks. Any explicit value is rounded up to a power of two.
-         * Either way the count is then clamped down so a non-zero
-         * cacheCapacity funds every stripe with >= 1 entry (a segment
-         * split down to zero entries would shed its whole hash class
-         * to miss).
-         */
-        size_t cacheStripes = 0;
         /**
          * Background-interference model ("The Tail at Scale"): every
          * interferenceEveryN-th execution on this pool stalls for

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace wsearch {
@@ -54,46 +53,10 @@ Table::toString() const
     return out;
 }
 
-std::string
-Table::toCsv() const
-{
-    auto cell = [](const std::string &v) {
-        if (v.find(',') == std::string::npos &&
-            v.find('"') == std::string::npos)
-            return v;
-        std::string out = "\"";
-        for (const char c : v) {
-            if (c == '"')
-                out += '"';
-            out += c;
-        }
-        out += '"';
-        return out;
-    };
-    auto row = [&](const std::vector<std::string> &cells) {
-        std::string out;
-        for (size_t i = 0; i < cells.size(); ++i) {
-            if (i)
-                out += ',';
-            out += cell(cells[i]);
-        }
-        out += '\n';
-        return out;
-    };
-    std::string out = row(headers_);
-    for (const auto &r : rows_)
-        out += row(r);
-    return out;
-}
-
 void
 Table::print() const
 {
-    // WSEARCH_CSV=1 switches bench output to machine-readable CSV.
-    if (envU64("WSEARCH_CSV", 0))
-        std::fputs(toCsv().c_str(), stdout);
-    else
-        std::fputs(toString().c_str(), stdout);
+    std::fputs(toString().c_str(), stdout);
 }
 
 std::string

@@ -28,9 +28,6 @@ class Table
     /** Render to a markdown table string. */
     std::string toString() const;
 
-    /** Render as CSV (used when WSEARCH_CSV is set). */
-    std::string toCsv() const;
-
     /** Render to stdout. */
     void print() const;
 

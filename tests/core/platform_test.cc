@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "core/experiments.hh"
 #include "core/platform.hh"
 
@@ -66,9 +68,18 @@ TEST(Experiments, RunWorkloadRespectsOverrides)
     opt.cores = 2;
     opt.l3Bytes = 1 * MiB;
     opt.measureRecords = 300'000;
+    // Environment variables must not resize a run: the budget comes
+    // from RunOptions alone.
+    ::setenv("WSEARCH_FAST", "1", 1);
+    ::setenv("WSEARCH_RECORDS", "555", 1);
+    const RecordBudget budget = recordBudget(opt);
     const SystemResult r =
         runWorkload(prof, PlatformConfig::plt1(), opt);
-    EXPECT_EQ(r.instructions, traceBudget(300'000));
+    ::unsetenv("WSEARCH_FAST");
+    ::unsetenv("WSEARCH_RECORDS");
+    EXPECT_EQ(budget.measure, 300'000u);
+    EXPECT_EQ(budget.warmup, 150'000u); // 0 derives measure / 2
+    EXPECT_EQ(r.instructions, 300'000u);
     EXPECT_GT(r.ipcPerThread, 0.0);
 }
 

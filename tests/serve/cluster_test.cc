@@ -229,14 +229,17 @@ mergeFixture()
     };
 }
 
+constexpr ShardOutcome kAns = ShardOutcome::Answered;
+constexpr ShardOutcome kMiss = ShardOutcome::Missed;
+
 /** Sorted union of the answered partials, truncated to k. */
 std::vector<ScoredDoc>
 sortedReference(const std::vector<std::vector<ScoredDoc>> &partials,
-                const std::vector<uint8_t> &answered, uint32_t k)
+                const std::vector<ShardOutcome> &outcomes, uint32_t k)
 {
     std::vector<ScoredDoc> all;
     for (size_t s = 0; s < partials.size(); ++s)
-        if (answered[s])
+        if (outcomes[s] == kAns)
             all.insert(all.end(), partials[s].begin(),
                        partials[s].end());
     std::sort(all.begin(), all.end(),
@@ -251,15 +254,16 @@ sortedReference(const std::vector<std::vector<ScoredDoc>> &partials,
 TEST(MergeWithCoverage, DegradedPageMatchesSortedReference)
 {
     const auto partials = mergeFixture();
-    const std::vector<uint8_t> answered = {1, 1, 1, 0};
+    const std::vector<ShardOutcome> outcomes = {kAns, kAns, kAns, kMiss};
     const MergedPage page =
-        RootServer::mergeWithCoverage(partials, answered, 5);
+        RootServer::mergeWithCoverage(partials, outcomes, 5);
     EXPECT_EQ(page.shardsTotal, 4u);
     EXPECT_EQ(page.shardsAnswered, 3u);
+    EXPECT_EQ(page.shardsUnavailable, 0u);
     EXPECT_TRUE(page.degraded());
     EXPECT_DOUBLE_EQ(page.coverage(), 0.75);
 
-    const auto expected = sortedReference(partials, answered, 5);
+    const auto expected = sortedReference(partials, outcomes, 5);
     ASSERT_EQ(page.docs.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
         EXPECT_EQ(page.docs[i].doc, expected[i].doc) << "rank " << i;
@@ -273,12 +277,12 @@ TEST(MergeWithCoverage, DegradedPageMatchesSortedReference)
 TEST(MergeWithCoverage, DeterministicAcrossRepeats)
 {
     const auto partials = mergeFixture();
-    const std::vector<uint8_t> answered = {1, 0, 1, 1};
+    const std::vector<ShardOutcome> outcomes = {kAns, kMiss, kAns, kAns};
     const MergedPage first =
-        RootServer::mergeWithCoverage(partials, answered, 4);
+        RootServer::mergeWithCoverage(partials, outcomes, 4);
     for (int rep = 0; rep < 10; ++rep) {
         const MergedPage again =
-            RootServer::mergeWithCoverage(partials, answered, 4);
+            RootServer::mergeWithCoverage(partials, outcomes, 4);
         ASSERT_EQ(again.docs.size(), first.docs.size());
         for (size_t i = 0; i < first.docs.size(); ++i)
             EXPECT_EQ(again.docs[i].doc, first.docs[i].doc);
@@ -289,9 +293,9 @@ TEST(MergeWithCoverage, TieBreaksByDocIdAscending)
 {
     // Docs 4 and 5 share score 6.5: lower doc id ranks first.
     const auto partials = mergeFixture();
-    const std::vector<uint8_t> answered = {1, 1, 0, 0};
+    const std::vector<ShardOutcome> outcomes = {kAns, kAns, kMiss, kMiss};
     const MergedPage page =
-        RootServer::mergeWithCoverage(partials, answered, 6);
+        RootServer::mergeWithCoverage(partials, outcomes, 6);
     const auto pos = [&](DocId d) {
         for (size_t i = 0; i < page.docs.size(); ++i)
             if (page.docs[i].doc == d)
@@ -309,9 +313,9 @@ TEST(MergeWithCoverage, DeduplicatesKeepingBestScore)
         {{0, 9.0f}, {4, 6.5f}},
         {{4, 7.5f}, {0, 9.0f}},
     };
-    const std::vector<uint8_t> answered = {1, 1};
+    const std::vector<ShardOutcome> outcomes = {kAns, kAns};
     const MergedPage page =
-        RootServer::mergeWithCoverage(partials, answered, 10);
+        RootServer::mergeWithCoverage(partials, outcomes, 10);
     ASSERT_EQ(page.docs.size(), 2u);
     EXPECT_EQ(page.docs[0].doc, 0u);
     EXPECT_EQ(page.docs[1].doc, 4u);
@@ -321,9 +325,10 @@ TEST(MergeWithCoverage, DeduplicatesKeepingBestScore)
 TEST(MergeWithCoverage, ZeroAnsweredYieldsEmptyValidPage)
 {
     const auto partials = mergeFixture();
-    const std::vector<uint8_t> answered = {0, 0, 0, 0};
+    const std::vector<ShardOutcome> outcomes = {kMiss, kMiss, kMiss,
+                                                kMiss};
     const MergedPage page =
-        RootServer::mergeWithCoverage(partials, answered, 5);
+        RootServer::mergeWithCoverage(partials, outcomes, 5);
     EXPECT_TRUE(page.docs.empty());
     EXPECT_EQ(page.shardsAnswered, 0u);
     EXPECT_TRUE(page.degraded());

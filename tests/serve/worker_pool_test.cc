@@ -158,17 +158,10 @@ TEST(LeafWorkerPool, CacheTierAnswersRepeats)
 TEST(LeafWorkerPool, CacheStripesClampedToCapacity)
 {
     LeafWorkerPool::Config pc;
-    pc.numWorkers = 8; // auto stripes would want 8
+    pc.numWorkers = 8; // one stripe per worker would be 8
     pc.cacheCapacity = 3;
     LeafWorkerPool pool(testIndex(), pc);
     EXPECT_EQ(pool.cacheStripeCount(), 2u); // pow2 <= capacity
-
-    LeafWorkerPool::Config explicitPc;
-    explicitPc.numWorkers = 2;
-    explicitPc.cacheStripes = 16;
-    explicitPc.cacheCapacity = 4;
-    LeafWorkerPool explicitPool(testIndex(), explicitPc);
-    EXPECT_EQ(explicitPool.cacheStripeCount(), 4u);
 
     // Zero capacity (tier off): no clamp, uniform shed-to-miss.
     LeafWorkerPool::Config offPc;

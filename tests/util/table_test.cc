@@ -33,23 +33,6 @@ TEST(Table, ColumnsAligned)
     }
 }
 
-TEST(Table, CsvEscapesCommasAndQuotes)
-{
-    Table t({"name", "value"});
-    t.addRow({"a,b", "say \"hi\""});
-    const std::string csv = t.toCsv();
-    EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
-    EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos);
-    EXPECT_EQ(csv.find('|'), std::string::npos);
-}
-
-TEST(Table, CsvPlainRows)
-{
-    Table t({"x", "y"});
-    t.addRow({"1", "2"});
-    EXPECT_EQ(t.toCsv(), "x,y\n1,2\n");
-}
-
 TEST(Table, FmtHelpers)
 {
     EXPECT_EQ(Table::fmt(1.23456, 2), "1.23");
