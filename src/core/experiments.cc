@@ -1,6 +1,7 @@
 #include "core/experiments.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
 
@@ -130,16 +131,98 @@ runWorkloadSweep(const WorkloadProfile &profile,
         });
     }
 
-    std::vector<SystemResult> results(options.size());
-    runParallelJobs(options.size(), control.threads, [&](size_t i) {
-        SystemSimulator sim(
-            makeSystemConfig(profile, platform, options[i]));
-        const BufferedTrace &trace = *groups[job_group[i]].trace;
-        if (planned)
-            results[i] = sim.runPlanned(trace, plans[job_plan[i]]);
+    // What job i replays: its group's buffer under its plan, or a
+    // warmup+measure split of it. A planned job whose plan came out
+    // empty replays the whole buffer, as runPlanned does.
+    struct Replay
+    {
+        size_t group;
+        uint64_t warmup, measure;
+        const SamplingPlan *plan;
+        bool operator==(const Replay &) const = default;
+    };
+    const SamplingPlan no_plan;
+    std::vector<SystemConfig> cfgs;
+    std::vector<Replay> replays;
+    for (size_t i = 0; i < options.size(); ++i) {
+        cfgs.push_back(makeSystemConfig(profile, platform, options[i]));
+        const size_t g = job_group[i];
+        if (!planned)
+            replays.push_back({g, budgets[i].warmup, budgets[i].measure,
+                               &no_plan});
+        else if (plans[job_plan[i]].enabled())
+            replays.push_back({g, 0, 0, &plans[job_plan[i]]});
         else
-            results[i] = sim.run(trace, budgets[i].warmup,
-                                 budgets[i].measure);
+            replays.push_back({g, 0, groups[g].trace->size(), &no_plan});
+    }
+
+    // Classes: jobs with the same replay and the same private half.
+    // Without an inclusive LLC nothing flows back up from the shared
+    // levels, so a class replays its private half once and each job
+    // then runs only its own shared half over the recorded stream.
+    // Inclusive-LLC jobs and classes of one replay directly.
+    std::vector<std::vector<size_t>> classes;
+    std::vector<size_t> direct;
+    for (size_t i = 0; i < options.size(); ++i) {
+        if (cfgs[i].hierarchy.llc.inclusion == InclusionMode::Inclusive) {
+            direct.push_back(i);
+            continue;
+        }
+        auto it = std::find_if(
+            classes.begin(), classes.end(),
+            [&](const std::vector<size_t> &cls) {
+                return replays[cls[0]] == replays[i] &&
+                    samePrivateHalf(cfgs[cls[0]], cfgs[i]);
+            });
+        if (it == classes.end())
+            classes.push_back({i});
+        else
+            it->push_back(i);
+    }
+    std::erase_if(classes, [&](const std::vector<size_t> &cls) {
+        if (cls.size() > 1)
+            return false;
+        direct.push_back(cls[0]);
+        return true;
+    });
+
+    // Private passes (a class's first job stands for it) and direct
+    // replays in parallel; then every shared pass, each class's
+    // recording freed when its last shared pass ends.
+    std::vector<SystemResult> results(options.size());
+    std::vector<PrivateRecording> recordings(classes.size());
+    runParallelJobs(classes.size() + direct.size(), control.threads,
+                    [&](size_t k) {
+        if (k < classes.size()) {
+            const size_t i = classes[k][0];
+            const Replay &r = replays[i];
+            recordings[k] = recordPrivateHalf(
+                cfgs[i], *groups[r.group].trace, r.warmup, r.measure,
+                *r.plan);
+            return;
+        }
+        const size_t i = direct[k - classes.size()];
+        const Replay &r = replays[i];
+        const BufferedTrace &trace = *groups[r.group].trace;
+        SystemSimulator sim(cfgs[i]);
+        results[i] = r.plan->enabled()
+            ? sim.runPlanned(trace, *r.plan)
+            : sim.run(trace, r.warmup, r.measure);
+    });
+
+    std::vector<std::pair<size_t, size_t>> passes; // (class, job)
+    std::vector<std::atomic<size_t>> left(classes.size());
+    for (size_t k = 0; k < classes.size(); ++k) {
+        left[k].store(classes[k].size(), std::memory_order_relaxed);
+        for (const size_t i : classes[k])
+            passes.emplace_back(k, i);
+    }
+    runParallelJobs(passes.size(), control.threads, [&](size_t p) {
+        const auto [k, i] = passes[p];
+        results[i] =
+            replaySharedHalf(cfgs[i], recordings[k], *replays[i].plan);
+        if (left[k].fetch_sub(1, std::memory_order_acq_rel) == 1)
+            recordings[k] = PrivateRecording{};
     });
     return results;
 }

@@ -2,8 +2,50 @@
 
 namespace wsearch {
 
-SystemSimulator::SystemSimulator(const SystemConfig &cfg)
-    : cfg_(cfg), hier_(cfg.hierarchy), core_(cfg.core)
+namespace {
+
+/** Compute IPC / AMAT over @p res's (possibly merged) counters. */
+void
+finalizeDerived(const SystemConfig &cfg, SystemResult &res)
+{
+    // Per-thread IPC: the slot accounting aggregates all threads, so
+    // divide the implied cycles evenly (threads are symmetric).
+    const uint32_t threads =
+        cfg.hierarchy.numCores * cfg.hierarchy.smtWays;
+    const double cycles_per_thread =
+        res.topdown.total() / cfg.core.width / threads;
+    const double instr_per_thread =
+        static_cast<double>(res.instructions) / threads;
+    res.ipcPerThread = cycles_per_thread > 0
+        ? instr_per_thread / cycles_per_thread : 0.0;
+
+    // Average memory access time seen at the L3 (paper §III-D),
+    // over data accesses as in the paper's CAT measurements.
+    const double h_l3 = res.l3DataHitRate();
+    double miss_path = cfg.core.memNs;
+    if (cfg.hierarchy.l4) {
+        const double h_l4 = res.l4.hitRateTotal();
+        miss_path = h_l4 * cfg.core.l4HitNs +
+            (1.0 - h_l4) * (cfg.core.memNs + cfg.core.l4MissExtraNs);
+    }
+    res.amatL3Ns = h_l3 * cfg.core.l3HitNs + (1.0 - h_l3) * miss_path;
+}
+
+/** @p h with its shared levels (LLC, L4, hasLlc) set to defaults. */
+HierarchySpec
+privateLevelsOf(const HierarchySpec &h)
+{
+    HierarchySpec p = h;
+    p.llc = HierarchySpec{}.llc;
+    p.l4.reset();
+    p.hasLlc = true;
+    return p;
+}
+
+} // namespace
+
+PrivateSystem::PrivateSystem(const SystemConfig &cfg)
+    : levels_(cfg.hierarchy), tlb_(cfg.modelTlb)
 {
     for (uint32_t c = 0; c < cfg.hierarchy.numCores; ++c) {
         predictors_.emplace_back(cfg.predictorEntries);
@@ -15,10 +57,9 @@ SystemSimulator::SystemSimulator(const SystemConfig &cfg)
 }
 
 void
-SystemSimulator::resetStats()
+PrivateSystem::resetStats()
 {
-    hier_.resetStats();
-    core_.reset();
+    levels_.resetStats();
     branches_ = 0;
     mispredicts_ = 0;
     itlbWalks_ = 0;
@@ -31,45 +72,75 @@ SystemSimulator::resetStats()
 }
 
 void
-SystemSimulator::step(const TraceRecord &r, bool tlb)
+PrivateSystem::harvest(SystemResult &res) const
 {
-    const uint32_t c = hier_.coreOf(r.tid);
-    core_.onInstruction();
+    res.l1i = levels_.l1iStats();
+    res.l1d = levels_.l1dStats();
+    res.l2 = levels_.l2Stats();
+    res.writebacks += levels_.writebacks();
+    const CoherenceStats coh = levels_.cohStats();
+    res.cohUpgrades = coh.upgrades;
+    res.cohInvalidations = coh.invalidations;
+    res.cohDirtyWritebacks = coh.dirtyWritebacks;
+    res.branches = branches_;
+    res.mispredicts = mispredicts_;
+    res.dtlbAccesses = dtlbAccesses_;
+    res.dtlbWalks = dtlbWalks_;
+    res.itlbWalks = itlbWalks_;
+}
 
-    if (tlb && itlbs_[c].access(r.pc) == TlbLevel::Walk) {
-        ++itlbWalks_;
-        core_.onItlbWalk();
-    }
-    const HitLevel il = hier_.accessInstr(r.tid, r.pc);
-    core_.onInstrFetch(il);
+SharedSystem::SharedSystem(const SystemConfig &cfg)
+    : levels_(cfg.hierarchy), core_(cfg.core)
+{
+}
 
-    if (r.isBranch()) {
-        ++branches_;
-        if (!predictors_[c].predictAndUpdate(r.pc, r.isTaken())) {
-            ++mispredicts_;
-            core_.onBranchMispredict();
-        }
-    }
-    if (r.hasData()) {
-        if (tlb) {
-            ++dtlbAccesses_;
-            if (dtlbs_[c].access(r.addr) == TlbLevel::Walk) {
-                ++dtlbWalks_;
-                core_.onTlbWalk();
-            }
-        }
-        const HitLevel dl = hier_.accessData(
-            r.tid, r.pc, r.addr, r.isStore(), r.kind);
-        core_.onDataAccess(dl);
-    }
+void
+SharedSystem::resetStats()
+{
+    levels_.resetStats();
+    core_.reset();
+}
+
+void
+SharedSystem::harvest(SystemResult &res) const
+{
+    res.instructions = core_.instructions();
+    res.l3 = levels_.l3Stats();
+    res.l4 = levels_.l4Stats();
+    res.l3Evictions = levels_.l3Evictions();
+    res.writebacks += levels_.writebacks();
+    res.backInvalidations = levels_.backInvalidations();
+    res.topdown = core_.topDown();
+}
+
+SystemSimulator::SystemSimulator(const SystemConfig &cfg)
+    : cfg_(cfg), priv_(cfg), shared_(cfg)
+{
+}
+
+void
+SystemSimulator::resetStats()
+{
+    priv_.resetStats();
+    shared_.resetStats();
 }
 
 void
 SystemSimulator::stepSpan(const TraceRecord *rec, size_t n)
 {
-    const bool tlb = cfg_.modelTlb;
-    for (size_t i = 0; i < n; ++i)
-        step(rec[i], tlb);
+    PrivateLevels &upper = priv_.levels();
+    SharedLevels &shared = shared_.levels();
+    for (size_t i = 0; i < n; ++i) {
+        // Serve each access's requests before the next access starts:
+        // an inclusive LLC's back-invalidations must land in between.
+        HitLevel served[2];
+        uint32_t issued = 0, used = 0;
+        const uint8_t out =
+            priv_.step(rec[i], [&](const SharedRequests &q) {
+                served[issued++] = shared.serve(q, &upper);
+            });
+        shared_.charge(out, [&] { return served[used++]; });
+    }
 }
 
 uint64_t
@@ -86,40 +157,9 @@ SystemResult
 SystemSimulator::harvestCounters() const
 {
     SystemResult res;
-    static_cast<SimResult &>(res) = harvest(hier_, core_.instructions());
-    res.branches = branches_;
-    res.mispredicts = mispredicts_;
-    res.dtlbAccesses = dtlbAccesses_;
-    res.dtlbWalks = dtlbWalks_;
-    res.itlbWalks = itlbWalks_;
-    res.topdown = core_.topDown();
+    priv_.harvest(res);
+    shared_.harvest(res);
     return res;
-}
-
-void
-SystemSimulator::finalizeDerived(SystemResult &res) const
-{
-    // Per-thread IPC: the slot accounting aggregates all threads, so
-    // divide the implied cycles evenly (threads are symmetric).
-    const uint32_t threads =
-        cfg_.hierarchy.numCores * cfg_.hierarchy.smtWays;
-    const double cycles_per_thread =
-        res.topdown.total() / cfg_.core.width / threads;
-    const double instr_per_thread =
-        static_cast<double>(res.instructions) / threads;
-    res.ipcPerThread = cycles_per_thread > 0
-        ? instr_per_thread / cycles_per_thread : 0.0;
-
-    // Average memory access time seen at the L3 (paper §III-D),
-    // over data accesses as in the paper's CAT measurements.
-    const double h_l3 = res.l3DataHitRate();
-    double miss_path = cfg_.core.memNs;
-    if (cfg_.hierarchy.l4) {
-        const double h_l4 = res.l4.hitRateTotal();
-        miss_path = h_l4 * cfg_.core.l4HitNs +
-            (1.0 - h_l4) * (cfg_.core.memNs + cfg_.core.l4MissExtraNs);
-    }
-    res.amatL3Ns = h_l3 * cfg_.core.l3HitNs + (1.0 - h_l3) * miss_path;
 }
 
 SystemResult
@@ -132,7 +172,7 @@ SystemSimulator::run(TraceSource &src, uint64_t warmup, uint64_t measure)
     resetStats();
     pullSpans(src, measure, step_span);
     SystemResult res = harvestCounters();
-    finalizeDerived(res);
+    finalizeDerived(cfg_, res);
     return res;
 }
 
@@ -144,7 +184,7 @@ SystemSimulator::run(const BufferedTrace &trace, uint64_t warmup,
     resetStats();
     pumpRange(trace, warmed, measure);
     SystemResult res = harvestCounters();
-    finalizeDerived(res);
+    finalizeDerived(cfg_, res);
     return res;
 }
 
@@ -161,7 +201,103 @@ SystemSimulator::runPlanned(const BufferedTrace &trace,
         },
         [this] { resetStats(); },
         [this](uint64_t) { return harvestCounters(); });
-    finalizeDerived(res);
+    finalizeDerived(cfg_, res);
+    return res;
+}
+
+bool
+samePrivateHalf(const SystemConfig &a, const SystemConfig &b)
+{
+    // Every SystemConfig field but `core` (the shared half's).
+    return privateLevelsOf(a.hierarchy) == privateLevelsOf(b.hierarchy) &&
+        a.modelTlb == b.modelTlb && a.dtlb == b.dtlb &&
+        a.predictorEntries == b.predictorEntries;
+}
+
+PrivateRecording
+recordPrivateHalf(const SystemConfig &cfg, const BufferedTrace &trace,
+                  uint64_t warmup, uint64_t measure,
+                  const SamplingPlan &plan)
+{
+    PrivateSystem priv(cfg);
+    PrivateRecording rec;
+    const auto replay = [&](uint64_t begin, uint64_t count) {
+        const uint64_t done = bufferedSpans(
+            trace, begin, count, [&](const TraceRecord *r, size_t n) {
+                for (size_t i = 0; i < n; ++i)
+                    rec.outcomes.push(priv.step(
+                        r[i], [&](const SharedRequests &q) {
+                            for (uint32_t k = 0; k < q.n; ++k)
+                                rec.requests.push(q.req[k]);
+                        }));
+            });
+        rec.spans.push_back(done);
+        return done;
+    };
+    const auto reset = [&] { priv.resetStats(); };
+    const auto harvest = [&](uint64_t) {
+        SystemResult res;
+        priv.harvest(res);
+        rec.counters.push_back(res);
+        return SystemResult{};
+    };
+    if (plan.enabled()) {
+        // The same window loop the shared passes run, so the ranges
+        // and the counter resets line up with theirs.
+        replayPlan<SystemResult>(plan, replay, reset, harvest);
+    } else {
+        const uint64_t warmed = replay(0, warmup);
+        reset();
+        replay(warmed, measure);
+        harvest(0);
+    }
+    return rec;
+}
+
+SystemResult
+replaySharedHalf(const SystemConfig &cfg, const PrivateRecording &rec,
+                 const SamplingPlan &plan)
+{
+    wsearch_assert(cfg.hierarchy.llc.inclusion !=
+                   InclusionMode::Inclusive);
+    SharedSystem shared(cfg);
+    SharedLevels &levels = shared.levels();
+    size_t span = 0, window = 0;
+    ChunkedLog<uint8_t>::Reader out(rec.outcomes);
+    ChunkedLog<SharedRequest>::Reader req(rec.requests);
+    const auto next = [&] {
+        for (;;) {
+            const SharedRequest &r = req.next();
+            const HitLevel level = levels.serve(r, nullptr);
+            if (r.demand())
+                return level;
+        }
+    };
+    // Ranges come in the order the private pass replayed them.
+    const auto replay = [&](uint64_t, uint64_t) {
+        wsearch_assert(span < rec.spans.size());
+        const uint64_t done = rec.spans[span++];
+        for (uint64_t i = 0; i < done; ++i)
+            shared.charge(out.next(), next);
+        return done;
+    };
+    const auto reset = [&] { shared.resetStats(); };
+    const auto harvest = [&](uint64_t) {
+        SystemResult res = rec.counters[window++];
+        shared.harvest(res);
+        return res;
+    };
+    SystemResult res;
+    if (plan.enabled()) {
+        res = replayPlan<SystemResult>(plan, replay, reset, harvest);
+    } else {
+        replay(0, 0);
+        reset();
+        replay(0, 0);
+        res = harvest(0);
+    }
+    wsearch_assert(out.done() && req.done());
+    finalizeDerived(cfg, res);
     return res;
 }
 

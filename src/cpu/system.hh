@@ -4,6 +4,13 @@
  * TLBs + Top-Down core model in one loop. This is the engine behind
  * Table I, Figures 2, 3, and 8: one pass produces MPKIs, branch
  * behaviour, TLB walks, the Top-Down breakdown, IPC, and AMAT.
+ *
+ * The per-record step has two halves, split at the L2->LLC boundary:
+ * PrivateSystem (private caches, predictors, TLBs) and SharedSystem
+ * (LLC, L4, core model). SystemSimulator runs them access by access;
+ * recordPrivateHalf and replaySharedHalf run them as separate passes,
+ * so configurations that differ only in the shared half replay the
+ * private one once.
  */
 
 #ifndef WSEARCH_CPU_SYSTEM_HH
@@ -114,7 +121,144 @@ struct SystemResult : SimResult
     }
 };
 
-/** The combined simulator. */
+/**
+ * Bits of a record's one-byte private-half outcome. The low two bits
+ * hold the fetch's HitLevel (L1, L2 or kPastL2), the next two the
+ * data access's (0 when the record has none); the rest flag the
+ * events the core model charges.
+ */
+constexpr uint8_t kOutDataShift = 2;
+constexpr uint8_t kOutMispredict = 1u << 4;
+constexpr uint8_t kOutItlbWalk = 1u << 5;
+constexpr uint8_t kOutDtlbWalk = 1u << 6;
+
+/**
+ * The private half of the per-record system step: per-core caches
+ * (PrivateLevels), branch predictors and TLBs. It yields each
+ * record's outcome byte and hands every access that left the L2 to
+ * the shared half.
+ */
+class PrivateSystem
+{
+  public:
+    explicit PrivateSystem(const SystemConfig &cfg);
+
+    /**
+     * Step one record. Each access that leaves the L2 passes its
+     * requests to @p toShared(const SharedRequests &) before the next
+     * access starts, so a caller that serves them at once keeps the
+     * original interleaving, inclusive back-invalidations included.
+     * @return the record's outcome byte.
+     */
+    template <class ToShared>
+    uint8_t
+    step(const TraceRecord &r, ToShared &&toShared)
+    {
+        const uint32_t c = levels_.coreOf(r.tid);
+        uint8_t out = 0;
+        if (tlb_ && itlbs_[c].access(r.pc) == TlbLevel::Walk) {
+            ++itlbWalks_;
+            out |= kOutItlbWalk;
+        }
+        SharedRequests q;
+        const HitLevel il = levels_.fetch(c, r.pc, q);
+        if (il == kPastL2)
+            toShared(q);
+        out |= static_cast<uint8_t>(il);
+
+        if (r.isBranch()) {
+            ++branches_;
+            if (!predictors_[c].predictAndUpdate(r.pc, r.isTaken())) {
+                ++mispredicts_;
+                out |= kOutMispredict;
+            }
+        }
+        if (r.hasData()) {
+            if (tlb_) {
+                ++dtlbAccesses_;
+                if (dtlbs_[c].access(r.addr) == TlbLevel::Walk) {
+                    ++dtlbWalks_;
+                    out |= kOutDtlbWalk;
+                }
+            }
+            const HitLevel dl = levels_.data(c, r.pc, r.addr,
+                                             r.isStore(), r.kind, q);
+            if (dl == kPastL2)
+                toShared(q);
+            out |= static_cast<uint8_t>(dl) << kOutDataShift;
+        }
+        return out;
+    }
+
+    PrivateLevels &levels() { return levels_; }
+    void resetStats();
+    /** Set this half's counters in @p res (writebacks: add). */
+    void harvest(SystemResult &res) const;
+
+  private:
+    PrivateLevels levels_;
+    bool tlb_;
+    std::vector<TournamentPredictor> predictors_; ///< one per core
+    std::vector<Tlb> dtlbs_;
+    std::vector<Tlb> itlbs_;
+    uint64_t branches_ = 0;
+    uint64_t mispredicts_ = 0;
+    uint64_t itlbWalks_ = 0;
+    uint64_t dtlbWalks_ = 0;
+    uint64_t dtlbAccesses_ = 0;
+};
+
+/**
+ * The shared half of the per-record system step: the LLC and L4
+ * (SharedLevels) and the core model, which it charges from each
+ * record's outcome byte.
+ */
+class SharedSystem
+{
+  public:
+    explicit SharedSystem(const SystemConfig &cfg);
+
+    /**
+     * Charge one record's outcome @p out to the core model in the
+     * order the original step charged it (the Top-Down sums are
+     * order-sensitive doubles). @p next() serves the record's next
+     * access that left the L2 and returns its level.
+     */
+    template <class Next>
+    void
+    charge(uint8_t out, Next &&next)
+    {
+        core_.onInstruction();
+        if (out & kOutItlbWalk)
+            core_.onItlbWalk();
+        HitLevel il = static_cast<HitLevel>(out & 3);
+        if (il == kPastL2)
+            il = next();
+        core_.onInstrFetch(il);
+        if (out & kOutMispredict)
+            core_.onBranchMispredict();
+        const uint8_t data = out >> kOutDataShift & 3;
+        if (data) {
+            if (out & kOutDtlbWalk)
+                core_.onTlbWalk();
+            HitLevel dl = static_cast<HitLevel>(data);
+            if (dl == kPastL2)
+                dl = next();
+            core_.onDataAccess(dl);
+        }
+    }
+
+    SharedLevels &levels() { return levels_; }
+    void resetStats();
+    /** Set this half's counters in @p res (writebacks: add). */
+    void harvest(SystemResult &res) const;
+
+  private:
+    SharedLevels levels_;
+    CoreModel core_; ///< aggregated slot accounting across threads
+};
+
+/** The combined simulator: both halves, stepped access by access. */
 class SystemSimulator
 {
   public:
@@ -147,32 +291,118 @@ class SystemSimulator
     SystemResult runPlanned(const BufferedTrace &trace,
                             const SamplingPlan &plan);
 
-    CacheHierarchy &hierarchy() { return hier_; }
-
   private:
-    void step(const TraceRecord &r, bool tlb);
     /** The per-record loop, fed by both the pull and buffered paths. */
     void stepSpan(const TraceRecord *rec, size_t n);
     uint64_t pumpRange(const BufferedTrace &trace, uint64_t begin,
                        uint64_t count);
     void resetStats();
-    /** Read the current counters off every component. */
+    /** Read the current counters off both halves. */
     SystemResult harvestCounters() const;
-    /** Compute IPC / AMAT over @p res's (possibly merged) counters. */
-    void finalizeDerived(SystemResult &res) const;
 
     SystemConfig cfg_;
-    CacheHierarchy hier_;
-    std::vector<TournamentPredictor> predictors_; ///< one per core
-    std::vector<Tlb> dtlbs_;
-    std::vector<Tlb> itlbs_;
-    CoreModel core_; ///< aggregated slot accounting across threads
-    uint64_t branches_ = 0;
-    uint64_t mispredicts_ = 0;
-    uint64_t itlbWalks_ = 0;
-    uint64_t dtlbWalks_ = 0;
-    uint64_t dtlbAccesses_ = 0;
+    PrivateSystem priv_;
+    SharedSystem shared_;
 };
+
+/**
+ * True when @p a and @p b have the same private half: every setting
+ * but the LLC, the L4, hasLlc and the core-model parameters is equal.
+ */
+bool samePrivateHalf(const SystemConfig &a, const SystemConfig &b);
+
+/**
+ * Append-only sequence kept in chunks of at most 1 MiB, read back in
+ * order. Growing it never copies. Its blocks also stay below a
+ * BufferedTrace chunk: glibc raises its mmap threshold to the largest
+ * block freed, and one large stream buffer freed per sweep would move
+ * every later trace chunk onto the fragmenting heap.
+ */
+template <class T>
+class ChunkedLog
+{
+  public:
+    static constexpr size_t kChunk = (size_t(1) << 20) / sizeof(T);
+
+    void
+    push(const T &v)
+    {
+        if (chunks_.empty() || chunks_.back().size() == kChunk) {
+            chunks_.emplace_back();
+            chunks_.back().reserve(kChunk);
+        }
+        chunks_.back().push_back(v);
+    }
+
+    /** Reads the elements back in push order. */
+    class Reader
+    {
+      public:
+        explicit Reader(const ChunkedLog &log) : chunks_(log.chunks_) {}
+
+        const T &
+        next()
+        {
+            if (p_ == end_) {
+                const std::vector<T> &c = chunks_[chunk_++];
+                p_ = c.data();
+                end_ = p_ + c.size();
+            }
+            return *p_++;
+        }
+
+        /** True once every element has been read. */
+        bool
+        done() const
+        {
+            return p_ == end_ && chunk_ == chunks_.size();
+        }
+
+      private:
+        const std::vector<std::vector<T>> &chunks_;
+        size_t chunk_ = 0; ///< next chunk to enter
+        const T *p_ = nullptr;
+        const T *end_ = nullptr;
+    };
+
+  private:
+    std::vector<std::vector<T>> chunks_;
+};
+
+/**
+ * One private pass over a buffer, kept for the shared passes of the
+ * configurations that share its private half: what each replayed
+ * record and each L2 miss left for the shared levels, plus the
+ * private counters of every measured range.
+ */
+struct PrivateRecording
+{
+    ChunkedLog<uint8_t> outcomes;       ///< one per replayed record
+    ChunkedLog<SharedRequest> requests; ///< in issue order
+    std::vector<uint64_t> spans;        ///< records per replayed range
+    std::vector<SystemResult> counters; ///< per measured range
+};
+
+/**
+ * Replay @p cfg's private half over @p trace once: @p warmup then
+ * @p measure records, or, when @p plan is enabled, the plan's ranges
+ * in replayPlan's order.
+ */
+PrivateRecording recordPrivateHalf(const SystemConfig &cfg,
+                                   const BufferedTrace &trace,
+                                   uint64_t warmup, uint64_t measure,
+                                   const SamplingPlan &plan);
+
+/**
+ * Finish @p rec on @p cfg's shared half. Bit-identical to
+ * SystemSimulator::run (or runPlanned, when @p plan is enabled) of
+ * @p cfg over the recorded records, provided @p cfg has the recorded
+ * private half (samePrivateHalf) and a non-inclusive LLC, whose
+ * evictions never reach back into the private caches.
+ */
+SystemResult replaySharedHalf(const SystemConfig &cfg,
+                              const PrivateRecording &rec,
+                              const SamplingPlan &plan);
 
 } // namespace wsearch
 

@@ -27,6 +27,8 @@ struct TlbConfig
     uint32_t l2Ways = 8;
     double walkNs = 42.0; ///< full page-walk latency
 
+    bool operator==(const TlbConfig &) const = default;
+
     /** Haswell-style 2 MiB huge-page configuration. */
     static TlbConfig
     huge2M()

@@ -53,6 +53,8 @@ struct CacheConfig
      * exactly like Intel CAT (paper §IV-B note on increased conflicts).
      */
     uint32_t partitionWays = 0;
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** Sentinel "no block" value for eviction out-parameters. */

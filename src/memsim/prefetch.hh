@@ -26,6 +26,8 @@ struct PrefetchConfig
     bool l2Stream = false;    ///< miss-stream prefetcher at L2
     uint32_t streamDegree = 2;
 
+    bool operator==(const PrefetchConfig &) const = default;
+
     bool
     any() const
     {

@@ -62,6 +62,8 @@ struct CacheLevelSpec
     uint32_t slices = 1;     ///< address-hashed slice count (LLC)
     bool victimFill = false; ///< memory-side victim cache (paper L4)
     double latencyNs = 0.0;  ///< hit latency hint for the AMAT models
+
+    bool operator==(const CacheLevelSpec &) const = default;
 };
 
 /** Private L1 level (I or D side). */
@@ -132,6 +134,8 @@ struct HierarchySpec
      *  the paper's coherence-free model (and the seed's counters). */
     CoherenceProtocol coherence = CoherenceProtocol::None;
     PrefetchConfig prefetch;
+
+    bool operator==(const HierarchySpec &) const = default;
 };
 
 } // namespace wsearch

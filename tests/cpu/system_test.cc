@@ -256,6 +256,77 @@ TEST(System, PlannedReplayWithEveryWindowEqualsContiguousRun)
     }
 }
 
+TEST(System, SamePrivateHalfIgnoresOnlyTheSharedLevelsAndCore)
+{
+    const SystemConfig base = smallSystem(2);
+    auto with = [&](auto &&change) {
+        SystemConfig c = base;
+        change(c);
+        return samePrivateHalf(base, c);
+    };
+    EXPECT_TRUE(with([](SystemConfig &c) {
+        c.hierarchy.llc = cache_gen_llc_exc(4 * MiB, 64, 16,
+                                            ReplPolicy::SRRIP, 4);
+    }));
+    EXPECT_TRUE(with([](SystemConfig &c) {
+        c.hierarchy.l4 = cache_gen_victim(8 * MiB, 64);
+    }));
+    EXPECT_TRUE(with([](SystemConfig &c) { c.hierarchy.hasLlc = false; }));
+    EXPECT_TRUE(with([](SystemConfig &c) { c.core.memNs = 200; }));
+    EXPECT_FALSE(with([](SystemConfig &c) { c.hierarchy.smtWays = 2; }));
+    EXPECT_FALSE(with([](SystemConfig &c) {
+        c.hierarchy.l1i.cache.ways = 2;
+    }));
+    EXPECT_FALSE(with([](SystemConfig &c) {
+        c.hierarchy.l2InstrPartitionWays = 2;
+    }));
+    EXPECT_FALSE(with([](SystemConfig &c) {
+        c.hierarchy.coherence = CoherenceProtocol::MESI;
+    }));
+    EXPECT_FALSE(with([](SystemConfig &c) {
+        c.hierarchy.prefetch = PrefetchConfig::allOn();
+    }));
+    EXPECT_FALSE(with([](SystemConfig &c) { c.modelTlb = true; }));
+    EXPECT_FALSE(with([](SystemConfig &c) {
+        c.dtlb = TlbConfig::huge2M();
+    }));
+    EXPECT_FALSE(with([](SystemConfig &c) { c.predictorEntries = 1024; }));
+}
+
+TEST(System, SharedHalfOverARecordingEqualsTheFullRun)
+{
+    // One private pass, then shared passes for LLCs of every inclusion
+    // mode that allows it, with and without a planned window split.
+    constexpr uint64_t kTotal = 40'000;
+    SyntheticSearchTrace src(tinyProfile(), 2);
+    const auto trace = BufferedTrace::materialize(src, kTotal);
+    RepresentativeSampling rep;
+    rep.windowRecords = 4'000;
+    rep.warmupRecords = 2'000;
+    rep.sampleWindows = 3;
+    const SamplingPlan plan = buildUniformPlan(kTotal, rep);
+    const SystemConfig base = loopConfig();
+    std::vector<SystemConfig> shared_variants(3, base);
+    shared_variants[1].hierarchy.llc =
+        cache_gen_llc_exc(256 * KiB, 64, 8);
+    shared_variants[2].hierarchy.l4 = cache_gen_victim(2 * MiB, 64);
+    for (const bool planned : {false, true}) {
+        const SamplingPlan &p = planned ? plan : SamplingPlan{};
+        const PrivateRecording rec =
+            recordPrivateHalf(base, *trace, 10'000, 30'000, p);
+        for (size_t v = 0; v < shared_variants.size(); ++v) {
+            SCOPED_TRACE("planned=" + std::to_string(planned) +
+                         " variant=" + std::to_string(v));
+            SystemSimulator sim(shared_variants[v]);
+            const SystemResult want = planned
+                ? sim.runPlanned(*trace, plan)
+                : sim.run(*trace, 10'000, 30'000);
+            expectSystemIdentical(
+                replaySharedHalf(shared_variants[v], rec, p), want);
+        }
+    }
+}
+
 TEST(System, PullPathEqualsBufferedPathAcrossChunkAndStagingEdges)
 {
     // Warmup/measure splits on both sides of the pull path's staging

@@ -130,6 +130,56 @@ TEST(Hierarchy, InclusiveL3BackInvalidates)
               HitLevel::L1);
 }
 
+TEST(Hierarchy, BackInvalidationClearsTheL1iFilter)
+{
+    HierarchySpec cfg = tinyConfig();
+    cfg.llc.inclusion = InclusionMode::Inclusive;
+    cfg.llc.cache = {4 * 64, 64, 1}; // direct-mapped, 4 sets
+    CacheHierarchy h(cfg);
+    const uint64_t pc = 0x400000;
+    h.accessInstr(0, pc);
+    EXPECT_EQ(h.accessInstr(0, pc), HitLevel::L1);
+    // A data block in the same L3 set evicts the code block from the
+    // L3, which back-invalidates it from the L1-I: the core's next
+    // fetch of it must miss although it fetched nothing in between.
+    h.accessData(0, 0, pc + 4 * 64, false, AccessKind::Heap);
+    EXPECT_GT(h.backInvalidations(), 0u);
+    EXPECT_EQ(h.accessInstr(0, pc), HitLevel::Memory);
+    EXPECT_EQ(h.l1iStats().totalMisses(), 2u);
+}
+
+TEST(Hierarchy, L1iCountsMatchABareCacheForEveryPolicy)
+{
+    // The hierarchy's L1-I skips the lookup for a core's repeated
+    // fetches of one block; its hit count must still equal a bare
+    // cache's fed the same fetches. Two SMT threads share the core,
+    // and short same-block runs alternate with set conflicts.
+    for (const ReplPolicy repl : {ReplPolicy::LRU, ReplPolicy::Random,
+                                  ReplPolicy::SRRIP, ReplPolicy::DRRIP}) {
+        SCOPED_TRACE(static_cast<int>(repl));
+        HierarchySpec cfg = tinyConfig();
+        cfg.smtWays = 2;
+        cfg.l1i.cache.repl = repl;
+        CacheHierarchy h(cfg);
+        SetAssocCache bare(cfg.l1i.cache);
+        uint64_t bare_hits = 0;
+        uint64_t x = 12345;
+        for (int i = 0; i < 20000; ++i) {
+            x = x * 6364136223846793005ull + 1442695040888963407ull;
+            // 24 blocks over 4 sets of 4 ways: steady conflict misses.
+            const uint64_t pc = 0x400000 + (x >> 59) % 24 * 64 +
+                (x >> 40) % 64;
+            const uint32_t tid = (x >> 20) % 2;
+            for (uint64_t rep = 0; rep <= (x >> 30) % 3; ++rep) {
+                h.accessInstr(tid, pc);
+                bare_hits += bare.access(pc, false) ? 1 : 0;
+            }
+        }
+        const CacheLevelStats &s = h.l1iStats();
+        EXPECT_EQ(s.totalAccesses() - s.totalMisses(), bare_hits);
+    }
+}
+
 TEST(Hierarchy, NonInclusiveKeepsL1OnL3Eviction)
 {
     HierarchySpec cfg = tinyConfig();

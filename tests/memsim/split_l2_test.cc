@@ -49,6 +49,23 @@ TEST(SplitL2, InstrPartitionHoldsCode)
     EXPECT_EQ(h.accessInstr(0, 0x400000), HitLevel::L2);
 }
 
+TEST(SplitL2, InclusiveBackInvalidationReachesTheInstrPartition)
+{
+    HierarchySpec cfg = splitConfig(4);
+    cfg.numCores = 2;
+    cfg.llc = cache_gen_llc_inc(4 * KiB, 64, 4); // 16 sets x 4 ways
+    CacheHierarchy h(cfg);
+    const uint64_t pc = 0x400000;
+    h.accessInstr(0, pc);
+    // Core 1's data fills the code block's L3 set and evicts it; the
+    // inclusive L3 must remove it from core 0's instruction partition
+    // too, so core 0's re-fetch misses the L2.
+    for (uint64_t k = 1; k <= 4; ++k)
+        h.accessData(1, 0, pc + k * 16 * 64, false, AccessKind::Heap);
+    EXPECT_GT(h.backInvalidations(), 0u);
+    EXPECT_EQ(h.accessInstr(0, pc), HitLevel::Memory);
+}
+
 TEST(SplitL2, DataCapacityShrinks)
 {
     // 6 of 8 ways for instructions leaves a 2-way data partition:

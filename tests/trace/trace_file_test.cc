@@ -16,7 +16,11 @@ class TraceFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "wsearch_trace_test.bin";
+        // One file per test: ctest runs the tests as concurrent
+        // processes, which must not share a path.
+        path_ = ::testing::TempDir() + "wsearch_trace_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".bin";
     }
 
     void
