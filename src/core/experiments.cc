@@ -78,7 +78,7 @@ runWorkloadSweep(const WorkloadProfile &profile,
     {
         uint32_t threads = 0;
         uint64_t records = 0;
-        std::shared_ptr<const BufferedTrace> trace;
+        std::shared_ptr<BufferedTrace> trace;
     };
     std::map<uint32_t, size_t> group_of;
     std::vector<Group> groups;
@@ -96,18 +96,28 @@ runWorkloadSweep(const WorkloadProfile &profile,
         job_group[i] = it->second;
     }
 
-    // Generation is itself embarrassingly parallel across groups
-    // (each group owns an independent deterministic source).
-    runParallelJobs(groups.size(), control.threads, [&](size_t gi) {
+    // Each group owns an independent deterministic source, so
+    // generation is itself parallel across groups. A synthetic source
+    // never runs dry: a group's buffer ends up holding exactly
+    // `records` records.
+    for (Group &g : groups)
+        g.trace = std::make_shared<BufferedTrace>(g.records);
+    const auto generate = [&](size_t gi) {
         SyntheticSearchTrace src(profile, groups[gi].threads);
-        groups[gi].trace =
-            BufferedTrace::materialize(src, groups[gi].records);
-    });
+        groups[gi].trace->generate(src);
+    };
 
     // Representative plans depend only on (trace, total records): one
     // plan per distinct (group, budget) pair, shared by every
-    // configuration replaying that trace prefix.
+    // configuration replaying that trace prefix. A clustered plan
+    // reads the whole trace for its window signatures, so a clustered
+    // sweep generates every group first; a uniform plan needs only the
+    // record count.
     const bool planned = control.planned();
+    const bool clustered =
+        planned && control.policy == SamplingPolicy::kClustered;
+    if (clustered)
+        runParallelJobs(groups.size(), control.threads, generate);
     std::vector<SamplingPlan> plans;
     std::vector<size_t> job_plan(options.size(), 0);
     if (planned) {
@@ -125,9 +135,10 @@ runWorkloadSweep(const WorkloadProfile &profile,
         plans.resize(plan_keys.size());
         runParallelJobs(plan_keys.size(), control.threads,
                         [&](size_t pi) {
-            plans[pi] = buildSweepPlan(
-                *groups[plan_keys[pi].first].trace,
-                plan_keys[pi].second, control);
+            const auto [g, total] = plan_keys[pi];
+            plans[pi] = clustered
+                ? buildSweepPlan(*groups[g].trace, total, control)
+                : buildUniformPlan(total, control.rep);
         });
     }
 
@@ -153,7 +164,7 @@ runWorkloadSweep(const WorkloadProfile &profile,
         else if (plans[job_plan[i]].enabled())
             replays.push_back({g, 0, 0, &plans[job_plan[i]]});
         else
-            replays.push_back({g, 0, groups[g].trace->size(), &no_plan});
+            replays.push_back({g, 0, groups[g].records, &no_plan});
     }
 
     // Classes: jobs with the same replay and the same private half.
@@ -186,13 +197,23 @@ runWorkloadSweep(const WorkloadProfile &profile,
         return true;
     });
 
-    // Private passes (a class's first job stands for it) and direct
-    // replays in parallel; then every shared pass, each class's
+    // Generation, then the private passes (a class's first job stands
+    // for it) and direct replays, in parallel: each replay follows its
+    // group's generation chunk by chunk. runParallelJobs hands jobs out
+    // in index order, so every generation job has started before any
+    // job that reads its buffer, and generation never waits: no thread
+    // count can deadlock. Then every shared pass, each class's
     // recording freed when its last shared pass ends.
+    const size_t gen_jobs = clustered ? 0 : groups.size();
     std::vector<SystemResult> results(options.size());
     std::vector<PrivateRecording> recordings(classes.size());
-    runParallelJobs(classes.size() + direct.size(), control.threads,
-                    [&](size_t k) {
+    runParallelJobs(gen_jobs + classes.size() + direct.size(),
+                    control.threads, [&](size_t k) {
+        if (k < gen_jobs) {
+            generate(k);
+            return;
+        }
+        k -= gen_jobs;
         if (k < classes.size()) {
             const size_t i = classes[k][0];
             const Replay &r = replays[i];

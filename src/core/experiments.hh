@@ -67,11 +67,12 @@ SystemResult runWorkload(const WorkloadProfile &profile,
  * The parallel sweep: run every RunOptions variation against the same
  * workload/platform concurrently. The trace is generated ONCE per
  * distinct hardware-thread count (traces depend on cores x smtWays)
- * into a shared immutable BufferedTrace. Variations that differ only
- * below the L2 (LLC, L4, core model) and have a non-inclusive LLC
- * share one private-level replay of it (recordPrivateHalf), then each
- * runs only its shared half (replaySharedHalf) on a worker thread; the
- * rest replay the buffer through their own simulator. Results are
+ * into a shared BufferedTrace, and the replays follow its generation
+ * chunk by chunk. Variations that differ only below the L2 (LLC, L4,
+ * core model) and have a non-inclusive LLC share one private-level
+ * replay of it (recordPrivateHalf), then each runs only its shared
+ * half (replaySharedHalf) on a worker thread; the rest replay the
+ * buffer through their own simulator. Results are
  * positionally matched to @p options and
  * bit-identical to serial runWorkload calls at any thread count --
  * unless @p control.planned(), which replaces each variation's

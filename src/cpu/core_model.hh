@@ -17,6 +17,7 @@
 #ifndef WSEARCH_CPU_CORE_MODEL_HH
 #define WSEARCH_CPU_CORE_MODEL_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "memsim/hierarchy.hh"
@@ -97,101 +98,110 @@ struct TopDown
 };
 
 /**
- * Per-thread accounting engine. Feed one event call per instruction;
- * read off the Top-Down breakdown and IPC.
+ * 0.0 plus @p c (>= 0), @p n times, one rounded add after another:
+ * bit for bit the sum that adding @p c once per event reaches, with
+ * no dyadic assumption on @p c. A few steps per binade of the sum,
+ * not one per add: see core_model.cc.
+ */
+double repeatedSum(double c, uint64_t n);
+
+/**
+ * Top-Down accounting of one run, all threads together. The model is
+ * linear: every slot is a count times a constant. Four of the six
+ * sums receive a single constant each -- retiring +1 and the
+ * front-end bandwidth and back-end core slots per instruction, the
+ * flush per mispredict -- so topDown() computes them from those two
+ * counts. The front-end latency and back-end memory sums mix
+ * per-level constants, and floating-point sums depend on their order,
+ * so those two are charged here event by event in record order. An L1
+ * hit charges +0.0, which leaves a sum unchanged: a record without a
+ * walk or an access past the L1 need not be charged at all.
  */
 class CoreModel
 {
   public:
-    explicit CoreModel(const CoreModelParams &p) : p_(p) {}
-
-    /** Every instruction retires exactly once. */
-    void
-    onInstruction()
+    explicit CoreModel(const CoreModelParams &p) : p_(p)
     {
-        ++instructions_;
-        td_.retiring += 1.0;
-        td_.frontendBandwidth += p_.tweaks.feBwSlotsPerInstr;
-        td_.backendCore += p_.tweaks.beCoreSlotsPerInstr;
+        for (const HitLevel level :
+             {HitLevel::L2, HitLevel::L3, HitLevel::L4,
+              HitLevel::Memory})
+            fetchSlots_[index(level)] =
+                p_.width * p_.cycles(levelNs(level)) * p_.feExposure;
+        dataSlots_[index(HitLevel::L2)] = p_.width *
+            p_.cycles(p_.l2HitNs) * p_.tweaks.l2Exposure;
+        for (const HitLevel level :
+             {HitLevel::L3, HitLevel::L4, HitLevel::Memory})
+            dataSlots_[index(level)] = p_.width *
+                p_.cycles(levelNs(level)) * p_.tweaks.postL2Exposure;
+        walkSlots_ = p_.width * p_.cycles(p_.tlbWalkNs) *
+            p_.tlbWalkExposure;
     }
 
-    /** Charge a branch misprediction. */
-    void
-    onBranchMispredict()
-    {
-        ++mispredicts_;
-        td_.badSpeculation += p_.width * p_.bpPenaltyCycles;
-    }
-
-    /** Charge an instruction fetch that missed the L1-I. */
+    /** Charge an instruction fetch serviced at @p level. */
     void
     onInstrFetch(HitLevel level)
     {
-        if (level == HitLevel::L1)
-            return;
-        td_.frontendLatency +=
-            p_.width * p_.cycles(levelNs(level)) * p_.feExposure;
+        frontendLatency_ += fetchSlots_[index(level)];
     }
 
-    /** Charge a data access that missed the L1-D. */
+    /** Charge a data access serviced at @p level. */
     void
     onDataAccess(HitLevel level)
     {
-        if (level == HitLevel::L1)
-            return;
-        if (level == HitLevel::L2) {
-            td_.backendMemory += p_.width * p_.cycles(p_.l2HitNs) *
-                p_.tweaks.l2Exposure;
-            return;
-        }
-        td_.backendMemory += p_.width * p_.cycles(levelNs(level)) *
-            p_.tweaks.postL2Exposure;
+        backendMemory_ += dataSlots_[index(level)];
     }
 
     /** Charge a TLB page walk (data side). */
-    void
-    onTlbWalk()
-    {
-        td_.backendMemory += p_.width * p_.cycles(p_.tlbWalkNs) *
-            p_.tlbWalkExposure;
-    }
+    void onTlbWalk() { backendMemory_ += walkSlots_; }
 
     /** Charge an instruction-side TLB page walk. */
-    void
-    onItlbWalk()
+    void onItlbWalk() { frontendLatency_ += walkSlots_; }
+
+    /**
+     * The breakdown of @p instructions instructions, @p mispredicts of
+     * them mispredicted branches, with the events charged since the
+     * last reset.
+     */
+    TopDown
+    topDown(uint64_t instructions, uint64_t mispredicts) const
     {
-        td_.frontendLatency += p_.width * p_.cycles(p_.tlbWalkNs) *
-            p_.tlbWalkExposure;
+        TopDown td;
+        // +1.0 per instruction is exact below 2^53.
+        td.retiring = static_cast<double>(instructions);
+        td.badSpeculation =
+            repeatedSum(p_.width * p_.bpPenaltyCycles, mispredicts);
+        td.frontendLatency = frontendLatency_;
+        td.frontendBandwidth =
+            repeatedSum(p_.tweaks.feBwSlotsPerInstr, instructions);
+        td.backendMemory = backendMemory_;
+        td.backendCore =
+            repeatedSum(p_.tweaks.beCoreSlotsPerInstr, instructions);
+        return td;
     }
 
-    const TopDown &topDown() const { return td_; }
-    uint64_t instructions() const { return instructions_; }
-    uint64_t mispredicts() const { return mispredicts_; }
-
-    /** Cycles implied by the slot accounting. */
+    /** Instructions per cycle of that breakdown. */
     double
-    cycles() const
+    ipc(uint64_t instructions, uint64_t mispredicts) const
     {
-        return td_.total() / p_.width;
-    }
-
-    /** Instructions per cycle. */
-    double
-    ipc() const
-    {
-        const double c = cycles();
-        return c > 0 ? static_cast<double>(instructions_) / c : 0.0;
+        const double c =
+            topDown(instructions, mispredicts).total() / p_.width;
+        return c > 0 ? static_cast<double>(instructions) / c : 0.0;
     }
 
     void
     reset()
     {
-        td_ = TopDown{};
-        instructions_ = 0;
-        mispredicts_ = 0;
+        frontendLatency_ = 0;
+        backendMemory_ = 0;
     }
 
   private:
+    static size_t
+    index(HitLevel level)
+    {
+        return static_cast<size_t>(level);
+    }
+
     double
     levelNs(HitLevel level) const
     {
@@ -206,9 +216,12 @@ class CoreModel
     }
 
     CoreModelParams p_;
-    TopDown td_;
-    uint64_t instructions_ = 0;
-    uint64_t mispredicts_ = 0;
+    /** Slots per event, by HitLevel; L1 (and the unused 0) charge 0. */
+    double fetchSlots_[6] = {};
+    double dataSlots_[6] = {};
+    double walkSlots_ = 0;
+    double frontendLatency_ = 0;
+    double backendMemory_ = 0;
 };
 
 } // namespace wsearch

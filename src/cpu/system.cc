@@ -60,6 +60,7 @@ void
 PrivateSystem::resetStats()
 {
     levels_.resetStats();
+    instructions_ = 0;
     branches_ = 0;
     mispredicts_ = 0;
     itlbWalks_ = 0;
@@ -74,6 +75,7 @@ PrivateSystem::resetStats()
 void
 PrivateSystem::harvest(SystemResult &res) const
 {
+    res.instructions = instructions_;
     res.l1i = levels_.l1iStats();
     res.l1d = levels_.l1dStats();
     res.l2 = levels_.l2Stats();
@@ -104,13 +106,12 @@ SharedSystem::resetStats()
 void
 SharedSystem::harvest(SystemResult &res) const
 {
-    res.instructions = core_.instructions();
     res.l3 = levels_.l3Stats();
     res.l4 = levels_.l4Stats();
     res.l3Evictions = levels_.l3Evictions();
     res.writebacks += levels_.writebacks();
     res.backInvalidations = levels_.backInvalidations();
-    res.topdown = core_.topDown();
+    res.topdown = core_.topDown(res.instructions, res.mispredicts);
 }
 
 SystemSimulator::SystemSimulator(const SystemConfig &cfg)
@@ -139,7 +140,8 @@ SystemSimulator::stepSpan(const TraceRecord *rec, size_t n)
             priv_.step(rec[i], [&](const SharedRequests &q) {
                 served[issued++] = shared.serve(q, &upper);
             });
-        shared_.charge(out, [&] { return served[used++]; });
+        if (out)
+            shared_.charge(out, [&] { return served[used++]; });
     }
 }
 
@@ -222,16 +224,22 @@ recordPrivateHalf(const SystemConfig &cfg, const BufferedTrace &trace,
     PrivateSystem priv(cfg);
     PrivateRecording rec;
     const auto replay = [&](uint64_t begin, uint64_t count) {
+        uint64_t events = 0;
         const uint64_t done = bufferedSpans(
             trace, begin, count, [&](const TraceRecord *r, size_t n) {
-                for (size_t i = 0; i < n; ++i)
-                    rec.outcomes.push(priv.step(
+                for (size_t i = 0; i < n; ++i) {
+                    const uint8_t out = priv.step(
                         r[i], [&](const SharedRequests &q) {
                             for (uint32_t k = 0; k < q.n; ++k)
                                 rec.requests.push(q.req[k]);
-                        }));
+                        });
+                    if (out) {
+                        rec.events.push(out);
+                        ++events;
+                    }
+                }
             });
-        rec.spans.push_back(done);
+        rec.ranges.push_back({done, events});
         return done;
     };
     const auto reset = [&] { priv.resetStats(); };
@@ -262,8 +270,8 @@ replaySharedHalf(const SystemConfig &cfg, const PrivateRecording &rec,
                    InclusionMode::Inclusive);
     SharedSystem shared(cfg);
     SharedLevels &levels = shared.levels();
-    size_t span = 0, window = 0;
-    ChunkedLog<uint8_t>::Reader out(rec.outcomes);
+    size_t range = 0, window = 0;
+    ChunkedLog<uint8_t>::Reader out(rec.events);
     ChunkedLog<SharedRequest>::Reader req(rec.requests);
     const auto next = [&] {
         for (;;) {
@@ -273,13 +281,14 @@ replaySharedHalf(const SystemConfig &cfg, const PrivateRecording &rec,
                 return level;
         }
     };
-    // Ranges come in the order the private pass replayed them.
+    // Ranges come in the order the private pass replayed them; only
+    // their event records charge anything or reach the shared levels.
     const auto replay = [&](uint64_t, uint64_t) {
-        wsearch_assert(span < rec.spans.size());
-        const uint64_t done = rec.spans[span++];
-        for (uint64_t i = 0; i < done; ++i)
+        wsearch_assert(range < rec.ranges.size());
+        const PrivateRecording::Range r = rec.ranges[range++];
+        for (uint64_t i = 0; i < r.events; ++i)
             shared.charge(out.next(), next);
-        return done;
+        return r.records;
     };
     const auto reset = [&] { shared.resetStats(); };
     const auto harvest = [&](uint64_t) {

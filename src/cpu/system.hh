@@ -29,6 +29,7 @@
 #include "memsim/sweep.hh"
 #include "trace/buffered_trace.hh"
 #include "trace/record.hh"
+#include "util/logging.hh"
 
 namespace wsearch {
 
@@ -123,20 +124,35 @@ struct SystemResult : SimResult
 
 /**
  * Bits of a record's one-byte private-half outcome. The low two bits
- * hold the fetch's HitLevel (L1, L2 or kPastL2), the next two the
- * data access's (0 when the record has none); the rest flag the
- * events the core model charges.
+ * hold the fetch's HitLevel less one (L1, L2 or kPastL2 as 0, 1, 2),
+ * the next two the data access's (0 also when the record has none);
+ * the rest flag TLB walks. The byte is 0 exactly when the record
+ * charges the core model nothing: an event record has a fetch past
+ * the L1-I, a data access past the L1-D, or a walk.
  */
 constexpr uint8_t kOutDataShift = 2;
-constexpr uint8_t kOutMispredict = 1u << 4;
-constexpr uint8_t kOutItlbWalk = 1u << 5;
-constexpr uint8_t kOutDtlbWalk = 1u << 6;
+constexpr uint8_t kOutItlbWalk = 1u << 4;
+constexpr uint8_t kOutDtlbWalk = 1u << 5;
+
+/** The outcome bits of an access serviced at @p level (L1..kPastL2). */
+constexpr uint8_t
+outcomeBits(HitLevel level)
+{
+    return static_cast<uint8_t>(static_cast<uint8_t>(level) - 1);
+}
+
+/** The level in the low two outcome bits of @p out. */
+constexpr HitLevel
+outcomeLevel(uint8_t out)
+{
+    return static_cast<HitLevel>((out & 3) + 1);
+}
 
 /**
  * The private half of the per-record system step: per-core caches
- * (PrivateLevels), branch predictors and TLBs. It yields each
- * record's outcome byte and hands every access that left the L2 to
- * the shared half.
+ * (PrivateLevels), branch predictors and TLBs. It counts
+ * instructions, yields each record's outcome byte and hands every
+ * access that left the L2 to the shared half.
  */
 class PrivateSystem
 {
@@ -148,13 +164,14 @@ class PrivateSystem
      * requests to @p toShared(const SharedRequests &) before the next
      * access starts, so a caller that serves them at once keeps the
      * original interleaving, inclusive back-invalidations included.
-     * @return the record's outcome byte.
+     * @return the record's outcome byte (0: no event).
      */
     template <class ToShared>
     uint8_t
     step(const TraceRecord &r, ToShared &&toShared)
     {
         const uint32_t c = levels_.coreOf(r.tid);
+        ++instructions_;
         uint8_t out = 0;
         if (tlb_ && itlbs_[c].access(r.pc) == TlbLevel::Walk) {
             ++itlbWalks_;
@@ -164,14 +181,12 @@ class PrivateSystem
         const HitLevel il = levels_.fetch(c, r.pc, q);
         if (il == kPastL2)
             toShared(q);
-        out |= static_cast<uint8_t>(il);
+        out |= outcomeBits(il);
 
         if (r.isBranch()) {
             ++branches_;
-            if (!predictors_[c].predictAndUpdate(r.pc, r.isTaken())) {
+            if (!predictors_[c].predictAndUpdate(r.pc, r.isTaken()))
                 ++mispredicts_;
-                out |= kOutMispredict;
-            }
         }
         if (r.hasData()) {
             if (tlb_) {
@@ -185,7 +200,7 @@ class PrivateSystem
                                              r.isStore(), r.kind, q);
             if (dl == kPastL2)
                 toShared(q);
-            out |= static_cast<uint8_t>(dl) << kOutDataShift;
+            out |= outcomeBits(dl) << kOutDataShift;
         }
         return out;
     }
@@ -201,6 +216,7 @@ class PrivateSystem
     std::vector<TournamentPredictor> predictors_; ///< one per core
     std::vector<Tlb> dtlbs_;
     std::vector<Tlb> itlbs_;
+    uint64_t instructions_ = 0;
     uint64_t branches_ = 0;
     uint64_t mispredicts_ = 0;
     uint64_t itlbWalks_ = 0;
@@ -210,8 +226,8 @@ class PrivateSystem
 
 /**
  * The shared half of the per-record system step: the LLC and L4
- * (SharedLevels) and the core model, which it charges from each
- * record's outcome byte.
+ * (SharedLevels) and the core model, which it charges from the
+ * outcome byte of each event record.
  */
 class SharedSystem
 {
@@ -219,38 +235,36 @@ class SharedSystem
     explicit SharedSystem(const SystemConfig &cfg);
 
     /**
-     * Charge one record's outcome @p out to the core model in the
-     * order the original step charged it (the Top-Down sums are
-     * order-sensitive doubles). @p next() serves the record's next
-     * access that left the L2 and returns its level.
+     * Charge one event record's outcome @p out to the core model.
+     * Each of its two ordered sums gets the record's walk, then its
+     * access, as the fused step always charged them. @p next() serves
+     * the record's next access that left the L2 and returns its level.
      */
     template <class Next>
     void
     charge(uint8_t out, Next &&next)
     {
-        core_.onInstruction();
         if (out & kOutItlbWalk)
             core_.onItlbWalk();
-        HitLevel il = static_cast<HitLevel>(out & 3);
+        HitLevel il = outcomeLevel(out);
         if (il == kPastL2)
             il = next();
         core_.onInstrFetch(il);
-        if (out & kOutMispredict)
-            core_.onBranchMispredict();
-        const uint8_t data = out >> kOutDataShift & 3;
-        if (data) {
-            if (out & kOutDtlbWalk)
-                core_.onTlbWalk();
-            HitLevel dl = static_cast<HitLevel>(data);
-            if (dl == kPastL2)
-                dl = next();
-            core_.onDataAccess(dl);
-        }
+        if (out & kOutDtlbWalk)
+            core_.onTlbWalk();
+        HitLevel dl = outcomeLevel(out >> kOutDataShift);
+        if (dl == kPastL2)
+            dl = next();
+        core_.onDataAccess(dl);
     }
 
     SharedLevels &levels() { return levels_; }
     void resetStats();
-    /** Set this half's counters in @p res (writebacks: add). */
+    /**
+     * Set this half's counters in @p res (writebacks: add). The
+     * Top-Down slots use the instruction and mispredict counts the
+     * private half's harvest left in @p res, so that one comes first.
+     */
     void harvest(SystemResult &res) const;
 
   private:
@@ -344,6 +358,7 @@ class ChunkedLog
         next()
         {
             if (p_ == end_) {
+                wsearch_assert(chunk_ < chunks_.size());
                 const std::vector<T> &c = chunks_[chunk_++];
                 p_ = c.data();
                 end_ = p_ + c.size();
@@ -371,15 +386,22 @@ class ChunkedLog
 
 /**
  * One private pass over a buffer, kept for the shared passes of the
- * configurations that share its private half: what each replayed
- * record and each L2 miss left for the shared levels, plus the
- * private counters of every measured range.
+ * configurations that share its private half: the outcome of each
+ * event record and each L2 miss left for the shared levels, plus the
+ * private counters of every measured range. Records that are no
+ * event leave nothing but their count.
  */
 struct PrivateRecording
 {
-    ChunkedLog<uint8_t> outcomes;       ///< one per replayed record
+    ChunkedLog<uint8_t> events;         ///< one per event record
     ChunkedLog<SharedRequest> requests; ///< in issue order
-    std::vector<uint64_t> spans;        ///< records per replayed range
+    /** One replayed range: its records and its event records. */
+    struct Range
+    {
+        uint64_t records = 0;
+        uint64_t events = 0;
+    };
+    std::vector<Range> ranges;          ///< in replay order
     std::vector<SystemResult> counters; ///< per measured range
 };
 

@@ -207,7 +207,9 @@ SamplingPlan buildSweepPlan(const BufferedTrace &trace, uint64_t total,
  * Run @p job(i) for every i in [0, @p njobs) on @p threads worker
  * threads pulling from a shared atomic work queue. threads == 0 means
  * simThreads(); the serial path (1 effective thread) runs inline.
- * Jobs must not throw and must touch only their own state.
+ * Jobs are handed out in index order: job i starts only after every
+ * job before it has started, so a job may wait for an earlier one
+ * that never waits itself. Jobs must not throw.
  */
 void runParallelJobs(size_t njobs, uint32_t threads,
                      const std::function<void(size_t)> &job);

@@ -1,15 +1,21 @@
 /**
  * @file
- * Shared, immutable, chunked in-memory trace buffer. A BufferedTrace
- * is decoded/generated ONCE from any TraceSource and then replayed
- * any number of times -- concurrently from many threads -- without
+ * Shared, chunked in-memory trace buffer. A BufferedTrace is
+ * decoded/generated ONCE from any TraceSource and then replayed any
+ * number of times -- concurrently from many threads -- without
  * regeneration cost, locks, or per-record virtual calls: consumers
  * walk contiguous TraceRecord spans chunk by chunk.
+ *
+ * Generation publishes the buffer chunk by chunk, and a published
+ * chunk never changes again. A reader that reaches a chunk not yet
+ * published waits for it (one acquire load per chunk otherwise), so
+ * replays can run behind generation instead of after it. A buffer
+ * from materialize() is fully published.
  *
  * This is what makes the parallel sweep engine (memsim/sweep.hh)
  * cheap: a sweep of N hierarchy configurations pays for trace
  * generation once instead of N times, and every worker replays the
- * same bit-identical record sequence from read-only memory.
+ * same bit-identical record sequence.
  *
  * Memory cost is sizeof(TraceRecord) (32 bytes) per record; chunk
  * granularity is tunable so tests can exercise chunk boundaries and
@@ -19,6 +25,7 @@
 #ifndef WSEARCH_TRACE_BUFFERED_TRACE_HH
 #define WSEARCH_TRACE_BUFFERED_TRACE_HH
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -28,7 +35,10 @@
 
 namespace wsearch {
 
-/** Immutable chunked record buffer; safe for concurrent replay. */
+/**
+ * Chunked record buffer, filled once by one producer and safe for
+ * concurrent replay while it fills.
+ */
 class BufferedTrace
 {
   public:
@@ -43,36 +53,59 @@ class BufferedTrace
     };
 
     /**
-     * Pull up to @p records records out of @p src into a new buffer.
-     * Stops early if the source is exhausted. @p chunk_records is the
-     * chunk granularity (exposed for boundary tests).
+     * An empty buffer for up to @p records records, in chunks of
+     * @p chunk_records (exposed for boundary tests); generate() fills
+     * it.
+     */
+    explicit BufferedTrace(uint64_t records,
+                           size_t chunk_records = kDefaultChunkRecords);
+
+    /**
+     * Pull the buffer's records out of @p src, publishing each chunk
+     * as it fills. Stops early if the source is exhausted. Call once,
+     * from one thread; readers may replay meanwhile. Never waits.
+     */
+    void generate(TraceSource &src);
+
+    /**
+     * Pull up to @p records records out of @p src into a new, fully
+     * published buffer (see the constructor and generate()).
      */
     static std::shared_ptr<const BufferedTrace>
     materialize(TraceSource &src, uint64_t records,
                 size_t chunk_records = kDefaultChunkRecords);
 
-    /** Total records stored. */
-    uint64_t size() const { return size_; }
+    /** Total records stored; waits for generation to end. */
+    uint64_t size() const { return published(kEnded); }
 
-    size_t numChunks() const { return chunks_.size(); }
+    /** Chunks stored; waits for generation to end. */
+    size_t
+    numChunks() const
+    {
+        return static_cast<size_t>(
+            (size() + chunkRecords_ - 1) / chunkRecords_);
+    }
+
     size_t chunkRecords() const { return chunkRecords_; }
 
-    /** The @p i-th chunk as a contiguous span. */
+    /** The @p i-th chunk as a contiguous span; waits for it. */
     Span
     chunk(size_t i) const
     {
+        published(i * chunkRecords_);
         return {chunks_[i].data(), chunks_[i].size()};
     }
 
     /**
      * Longest contiguous span starting at absolute record @p begin,
      * clipped to both @p max_len and the containing chunk's edge.
-     * Returns an empty span when @p begin >= size().
+     * Waits until that chunk is published; returns an empty span when
+     * @p begin >= size().
      */
     Span
     spanAt(uint64_t begin, uint64_t max_len) const
     {
-        if (begin >= size_ || max_len == 0)
+        if (max_len == 0 || begin >= published(begin))
             return {};
         const size_t ci = static_cast<size_t>(begin / chunkRecords_);
         const size_t off = static_cast<size_t>(begin % chunkRecords_);
@@ -83,10 +116,11 @@ class BufferedTrace
         return {c.data() + off, n};
     }
 
-    /** Record @p i (bounds-unchecked; tests only). */
+    /** Record @p i (bounds-unchecked; tests only); waits for it. */
     const TraceRecord &
     at(uint64_t i) const
     {
+        published(i);
         return chunks_[static_cast<size_t>(i / chunkRecords_)]
                       [static_cast<size_t>(i % chunkRecords_)];
     }
@@ -112,14 +146,29 @@ class BufferedTrace
     };
 
   private:
-    explicit BufferedTrace(size_t chunk_records)
-        : chunkRecords_(chunk_records ? chunk_records : 1)
-    {
-    }
+    /** Flag of published_: generation has ended. */
+    static constexpr uint64_t kEnded = uint64_t(1) << 63;
 
+    /**
+     * Wait until record @p i is published or generation has ended.
+     * @return the records published by then (all of them once ended).
+     */
+    uint64_t
+    published(uint64_t i) const
+    {
+        const uint64_t p = published_.load(std::memory_order_acquire);
+        if (p > i || (p & kEnded))
+            return p & ~kEnded;
+        return awaitPublished(i);
+    }
+    uint64_t awaitPublished(uint64_t i) const;
+
+    uint64_t capacity_;
     size_t chunkRecords_;
-    uint64_t size_ = 0;
+    /** Sized up front, so publishing never moves a chunk. */
     std::vector<std::vector<TraceRecord>> chunks_;
+    /** Records published (whole chunks, in order), plus kEnded. */
+    std::atomic<uint64_t> published_{0};
 };
 
 } // namespace wsearch

@@ -156,7 +156,7 @@ TEST(WorkloadSweep, BitIdenticalToSerialRunWorkloadAtAnyThreadCount)
     for (const RunOptions &opt : options)
         oracle.push_back(runWorkload(prof, plt, opt));
 
-    for (const uint32_t threads : {1u, 4u}) {
+    for (const uint32_t threads : {1u, 2u, 4u}) {
         SweepControl control;
         control.threads = threads;
         const std::vector<SystemResult> got =
@@ -205,7 +205,7 @@ TEST(WorkloadSweep, PlannedSweepEqualsPerConfigurationRunPlanned)
             SystemSimulator sim(makeSystemConfig(prof, plt, opt));
             want.push_back(sim.runPlanned(*trace, plan));
         }
-        for (const uint32_t threads : {1u, 4u}) {
+        for (const uint32_t threads : {1u, 2u, 4u}) {
             control.threads = threads;
             const std::vector<SystemResult> got =
                 runWorkloadSweep(prof, plt, options, control);

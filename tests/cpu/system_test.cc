@@ -356,5 +356,22 @@ TEST(System, PullPathEqualsBufferedPathAcrossChunkAndStagingEdges)
     }
 }
 
+TEST(ChunkedLogDeathTest, ReadingPastTheEndDies)
+{
+    ChunkedLog<uint32_t> empty;
+    ChunkedLog<uint32_t>::Reader none(empty);
+    EXPECT_TRUE(none.done());
+    EXPECT_DEATH(none.next(), "chunk_ < chunks_.size");
+
+    ChunkedLog<uint32_t> log;
+    for (uint32_t i = 0; i < 3; ++i)
+        log.push(i);
+    ChunkedLog<uint32_t>::Reader r(log);
+    for (uint32_t i = 0; i < 3; ++i)
+        EXPECT_EQ(r.next(), i);
+    EXPECT_TRUE(r.done());
+    EXPECT_DEATH(r.next(), "chunk_ < chunks_.size");
+}
+
 } // namespace
 } // namespace wsearch

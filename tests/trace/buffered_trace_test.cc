@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "trace/buffered_trace.hh"
 #include "trace/profile.hh"
 #include "trace/synthetic.hh"
@@ -125,6 +130,64 @@ TEST(BufferedTrace, CursorReplaysBitIdenticallyAndRewinds)
         }
         EXPECT_EQ(cur.fill(got.data(), 1), 0u); // exhausted
         cur.reset();
+    }
+}
+
+TEST(BufferedTrace, ReadersReplayWhileTheProducerFills)
+{
+    constexpr uint64_t kWant = 30'000;
+    // A source with records to spare, and one that runs dry in the
+    // middle of a chunk (for chunks of 7 and 65,536 records).
+    for (const uint64_t total : {kWant + 100, uint64_t{20'003}}) {
+        for (const size_t chunk : {size_t{1}, size_t{7}, size_t{65'536}}) {
+            SCOPED_TRACE("source=" + std::to_string(total) +
+                         " chunk=" + std::to_string(chunk));
+            CountingSource ref_src(total, 333);
+            const auto want =
+                BufferedTrace::materialize(ref_src, kWant, chunk);
+
+            // Three readers start before the producer: span by span,
+            // through a TraceSource cursor, and record by record.
+            const auto buf = std::make_shared<BufferedTrace>(kWant, chunk);
+            std::vector<TraceRecord> seen[3];
+            std::vector<std::thread> readers;
+            readers.emplace_back([&] {
+                for (uint64_t pos = 0;;) {
+                    const BufferedTrace::Span s = buf->spanAt(pos, 997);
+                    if (s.count == 0)
+                        break;
+                    seen[0].insert(seen[0].end(), s.data,
+                                   s.data + s.count);
+                    pos += s.count;
+                }
+            });
+            readers.emplace_back([&] {
+                BufferedTrace::Cursor cur(buf);
+                TraceRecord tmp[777];
+                for (size_t n; (n = cur.fill(tmp, 777)) > 0;)
+                    seen[1].insert(seen[1].end(), tmp, tmp + n);
+            });
+            readers.emplace_back([&] {
+                for (uint64_t i = 0; i < want->size(); ++i)
+                    seen[2].push_back(buf->at(i));
+            });
+            CountingSource src(total, 333);
+            buf->generate(src);
+            for (std::thread &t : readers)
+                t.join();
+
+            ASSERT_EQ(buf->size(), want->size());
+            ASSERT_EQ(buf->numChunks(), want->numChunks());
+            for (const std::vector<TraceRecord> &got : seen) {
+                ASSERT_EQ(got.size(), want->size());
+                for (uint64_t i = 0; i < got.size(); ++i) {
+                    const TraceRecord &a = got[i], &b = want->at(i);
+                    ASSERT_TRUE(a.pc == b.pc && a.addr == b.addr &&
+                                a.tid == b.tid && a.op == b.op)
+                        << "record " << i;
+                }
+            }
+        }
     }
 }
 
