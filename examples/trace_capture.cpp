@@ -4,6 +4,8 @@
  * trace to a binary file (the workflow the paper used with Pin), then
  * replay it through two different hierarchies — demonstrating that a
  * captured trace is a reusable artifact giving bit-identical streams.
+ * Exits nonzero if the file cannot be written or read back, or if a
+ * replay measures fewer records than it asked for.
  *
  *   ./examples/trace_capture [records] [path]
  */
@@ -11,7 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "memsim/simulator.hh"
+#include "cpu/system.hh"
 #include "search/engine_trace.hh"
 #include "trace/trace_file.hh"
 
@@ -55,12 +57,17 @@ main(int argc, char **argv)
             std::fprintf(stderr, "cannot read %s\n", path.c_str());
             return 1;
         }
-        HierarchySpec h;
-        h.numCores = tc.numThreads;
-        h.llc = cache_gen_llc(l3, 64, 20);
-        CacheHierarchy hier(h);
-        const SimResult r =
-            runTrace(reader, hier, records / 4, records / 2);
+        SystemConfig cfg;
+        cfg.hierarchy.numCores = tc.numThreads;
+        cfg.hierarchy.llc = cache_gen_llc(l3, 64, 20);
+        SystemSimulator sim(cfg);
+        const SystemResult r = sim.run(reader, records / 4, records / 2);
+        if (r.instructions != records / 2) {
+            std::fprintf(stderr, "replay measured %llu of %llu records\n",
+                         (unsigned long long)r.instructions,
+                         (unsigned long long)(records / 2));
+            return 1;
+        }
         std::printf("replay with %-7s L3: L2 MPKI %6.2f | L3 MPKI "
                     "%6.2f | L3 hit %5.1f%%\n",
                     formatBytes(l3).c_str(),

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <tuple>
 
 #include "trace/buffered_trace.hh"
 #include "trace/synthetic.hh"
@@ -107,67 +108,50 @@ runWorkloadSweep(const WorkloadProfile &profile,
         groups[gi].trace->generate(src);
     };
 
-    // Representative plans depend only on (trace, total records): one
-    // plan per distinct (group, budget) pair, shared by every
-    // configuration replaying that trace prefix. A clustered plan
-    // reads the whole trace for its window signatures, so a clustered
-    // sweep generates every group first; a uniform plan needs only the
-    // record count.
+    // What each job replays: its group's buffer under a plan, one per
+    // distinct (group, warmup, measure) and shared by every job with
+    // that key. Exact jobs take the contiguous plan of their budget.
+    // A representative plan covers the first warmup+measure records
+    // whatever the split, so a planned job's budget counts as
+    // {0, total}. A clustered plan reads the whole trace for its
+    // window signatures, so a clustered sweep generates every group
+    // first and builds its plans in parallel; the other plans need
+    // only the record counts.
     const bool planned = control.planned();
     const bool clustered =
         planned && control.policy == SamplingPolicy::kClustered;
     if (clustered)
         runParallelJobs(groups.size(), control.threads, generate);
-    std::vector<SamplingPlan> plans;
-    std::vector<size_t> job_plan(options.size(), 0);
-    if (planned) {
-        std::map<std::pair<size_t, uint64_t>, size_t> plan_of;
-        std::vector<std::pair<size_t, uint64_t>> plan_keys;
-        for (size_t i = 0; i < options.size(); ++i) {
-            const std::pair<size_t, uint64_t> key{
-                job_group[i], budgets[i].total()};
-            auto [it, fresh] =
-                plan_of.try_emplace(key, plan_keys.size());
-            if (fresh)
-                plan_keys.push_back(key);
-            job_plan[i] = it->second;
-        }
-        plans.resize(plan_keys.size());
-        runParallelJobs(plan_keys.size(), control.threads,
-                        [&](size_t pi) {
-            const auto [g, total] = plan_keys[pi];
-            plans[pi] = clustered
-                ? buildSweepPlan(*groups[g].trace, total, control)
-                : buildUniformPlan(total, control.rep);
-        });
-    }
-
-    // What job i replays: its group's buffer under its plan, or a
-    // warmup+measure split of it. A planned job whose plan came out
-    // empty replays the whole buffer, as runPlanned does.
-    struct Replay
-    {
-        size_t group;
-        uint64_t warmup, measure;
-        const SamplingPlan *plan;
-        bool operator==(const Replay &) const = default;
-    };
-    const SamplingPlan no_plan;
-    std::vector<SystemConfig> cfgs;
-    std::vector<Replay> replays;
+    using PlanKey = std::tuple<size_t, uint64_t, uint64_t>;
+    std::map<PlanKey, size_t> plan_of;
+    std::vector<PlanKey> plan_keys;
+    std::vector<size_t> job_plan(options.size());
     for (size_t i = 0; i < options.size(); ++i) {
-        cfgs.push_back(makeSystemConfig(profile, platform, options[i]));
-        const size_t g = job_group[i];
-        if (!planned)
-            replays.push_back({g, budgets[i].warmup, budgets[i].measure,
-                               &no_plan});
-        else if (plans[job_plan[i]].enabled())
-            replays.push_back({g, 0, 0, &plans[job_plan[i]]});
-        else
-            replays.push_back({g, 0, groups[g].records, &no_plan});
+        const RecordBudget b = budgets[i];
+        const PlanKey key{job_group[i], planned ? 0 : b.warmup,
+                          planned ? b.total() : b.measure};
+        auto [it, fresh] = plan_of.try_emplace(key, plan_keys.size());
+        if (fresh)
+            plan_keys.push_back(key);
+        job_plan[i] = it->second;
     }
+    std::vector<SamplingPlan> plans(plan_keys.size());
+    runParallelJobs(plan_keys.size(), clustered ? control.threads : 1,
+                    [&](size_t pi) {
+        const auto [g, warmup, measure] = plan_keys[pi];
+        const uint64_t total = warmup + measure;
+        if (!planned)
+            plans[pi] = contiguousPlan(warmup, measure);
+        else if (clustered)
+            plans[pi] = buildSweepPlan(*groups[g].trace, total, control);
+        else
+            plans[pi] = buildUniformPlan(total, control.rep);
+    });
+    std::vector<SystemConfig> cfgs;
+    for (const RunOptions &opt : options)
+        cfgs.push_back(makeSystemConfig(profile, platform, opt));
 
-    // Classes: jobs with the same replay and the same private half.
+    // Classes: jobs with the same plan and the same private half.
     // Without an inclusive LLC nothing flows back up from the shared
     // levels, so a class replays its private half once and each job
     // then runs only its own shared half over the recorded stream.
@@ -182,7 +166,7 @@ runWorkloadSweep(const WorkloadProfile &profile,
         auto it = std::find_if(
             classes.begin(), classes.end(),
             [&](const std::vector<size_t> &cls) {
-                return replays[cls[0]] == replays[i] &&
+                return job_plan[cls[0]] == job_plan[i] &&
                     samePrivateHalf(cfgs[cls[0]], cfgs[i]);
             });
         if (it == classes.end())
@@ -214,21 +198,16 @@ runWorkloadSweep(const WorkloadProfile &profile,
             return;
         }
         k -= gen_jobs;
+        const size_t i =
+            k < classes.size() ? classes[k][0] : direct[k - classes.size()];
+        const BufferedTrace &trace = *groups[job_group[i]].trace;
+        const SamplingPlan &plan = plans[job_plan[i]];
         if (k < classes.size()) {
-            const size_t i = classes[k][0];
-            const Replay &r = replays[i];
-            recordings[k] = recordPrivateHalf(
-                cfgs[i], *groups[r.group].trace, r.warmup, r.measure,
-                *r.plan);
+            recordings[k] = recordPrivateHalf(cfgs[i], trace, plan);
             return;
         }
-        const size_t i = direct[k - classes.size()];
-        const Replay &r = replays[i];
-        const BufferedTrace &trace = *groups[r.group].trace;
         SystemSimulator sim(cfgs[i]);
-        results[i] = r.plan->enabled()
-            ? sim.runPlanned(trace, *r.plan)
-            : sim.run(trace, r.warmup, r.measure);
+        results[i] = sim.runPlanned(trace, plan);
     });
 
     std::vector<std::pair<size_t, size_t>> passes; // (class, job)
@@ -241,7 +220,7 @@ runWorkloadSweep(const WorkloadProfile &profile,
     runParallelJobs(passes.size(), control.threads, [&](size_t p) {
         const auto [k, i] = passes[p];
         results[i] =
-            replaySharedHalf(cfgs[i], recordings[k], *replays[i].plan);
+            replaySharedHalf(cfgs[i], recordings[k], plans[job_plan[i]]);
         if (left[k].fetch_sub(1, std::memory_order_acq_rel) == 1)
             recordings[k] = PrivateRecording{};
     });

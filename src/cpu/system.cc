@@ -145,66 +145,54 @@ SystemSimulator::stepSpan(const TraceRecord *rec, size_t n)
     }
 }
 
-uint64_t
-SystemSimulator::pumpRange(const BufferedTrace &trace, uint64_t begin,
-                           uint64_t count)
-{
-    return bufferedSpans(trace, begin, count,
-                         [this](const TraceRecord *rec, size_t n) {
-                             stepSpan(rec, n);
-                         });
-}
-
+template <class Replay>
 SystemResult
-SystemSimulator::harvestCounters() const
+SystemSimulator::walkPlan(const SamplingPlan &plan, Replay &&replay)
 {
-    SystemResult res;
-    priv_.harvest(res);
-    shared_.harvest(res);
+    SystemResult res = replayPlan<SystemResult>(
+        plan, replay, [this] { resetStats(); },
+        [this](uint64_t) {
+            SystemResult win;
+            priv_.harvest(win);
+            shared_.harvest(win);
+            return win;
+        });
+    finalizeDerived(cfg_, res);
     return res;
 }
 
 SystemResult
 SystemSimulator::run(TraceSource &src, uint64_t warmup, uint64_t measure)
 {
+    // A pull source yields its records in order, and the contiguous
+    // plan's ranges follow one another, so each range is just the
+    // next `count` records.
     const auto step_span = [this](const TraceRecord *rec, size_t n) {
         stepSpan(rec, n);
     };
-    pullSpans(src, warmup, step_span);
-    resetStats();
-    pullSpans(src, measure, step_span);
-    SystemResult res = harvestCounters();
-    finalizeDerived(cfg_, res);
-    return res;
+    return walkPlan(contiguousPlan(warmup, measure),
+                    [&](uint64_t, uint64_t count) {
+                        return pullSpans(src, count, step_span);
+                    });
 }
 
 SystemResult
 SystemSimulator::run(const BufferedTrace &trace, uint64_t warmup,
                      uint64_t measure)
 {
-    const uint64_t warmed = pumpRange(trace, 0, warmup);
-    resetStats();
-    pumpRange(trace, warmed, measure);
-    SystemResult res = harvestCounters();
-    finalizeDerived(cfg_, res);
-    return res;
+    return runPlanned(trace, contiguousPlan(warmup, measure));
 }
 
 SystemResult
 SystemSimulator::runPlanned(const BufferedTrace &trace,
                             const SamplingPlan &plan)
 {
-    if (!plan.enabled())
-        return run(trace, 0, trace.size());
-    SystemResult res = replayPlan<SystemResult>(
-        plan,
-        [&](uint64_t begin, uint64_t count) {
-            return pumpRange(trace, begin, count);
-        },
-        [this] { resetStats(); },
-        [this](uint64_t) { return harvestCounters(); });
-    finalizeDerived(cfg_, res);
-    return res;
+    const auto step_span = [this](const TraceRecord *rec, size_t n) {
+        stepSpan(rec, n);
+    };
+    return walkPlan(plan, [&](uint64_t begin, uint64_t count) {
+        return bufferedSpans(trace, begin, count, step_span);
+    });
 }
 
 bool
@@ -218,7 +206,6 @@ samePrivateHalf(const SystemConfig &a, const SystemConfig &b)
 
 PrivateRecording
 recordPrivateHalf(const SystemConfig &cfg, const BufferedTrace &trace,
-                  uint64_t warmup, uint64_t measure,
                   const SamplingPlan &plan)
 {
     PrivateSystem priv(cfg);
@@ -249,16 +236,9 @@ recordPrivateHalf(const SystemConfig &cfg, const BufferedTrace &trace,
         rec.counters.push_back(res);
         return SystemResult{};
     };
-    if (plan.enabled()) {
-        // The same window loop the shared passes run, so the ranges
-        // and the counter resets line up with theirs.
-        replayPlan<SystemResult>(plan, replay, reset, harvest);
-    } else {
-        const uint64_t warmed = replay(0, warmup);
-        reset();
-        replay(warmed, measure);
-        harvest(0);
-    }
+    // The same window loop the shared passes run, so the ranges and
+    // the counter resets line up with theirs.
+    replayPlan<SystemResult>(plan, replay, reset, harvest);
     return rec;
 }
 
@@ -296,15 +276,8 @@ replaySharedHalf(const SystemConfig &cfg, const PrivateRecording &rec,
         shared.harvest(res);
         return res;
     };
-    SystemResult res;
-    if (plan.enabled()) {
-        res = replayPlan<SystemResult>(plan, replay, reset, harvest);
-    } else {
-        replay(0, 0);
-        reset();
-        replay(0, 0);
-        res = harvest(0);
-    }
+    SystemResult res =
+        replayPlan<SystemResult>(plan, replay, reset, harvest);
     wsearch_assert(out.done() && req.done());
     finalizeDerived(cfg, res);
     return res;

@@ -10,7 +10,9 @@
  * (LLC, L4, core model). SystemSimulator runs them access by access;
  * recordPrivateHalf and replaySharedHalf run them as separate passes,
  * so configurations that differ only in the shared half replay the
- * private one once.
+ * private one once. Every replay, exact or sampled, walks a
+ * SamplingPlan through replayPlan (memsim/sweep.hh); the exact one is
+ * a contiguousPlan.
  */
 
 #ifndef WSEARCH_CPU_SYSTEM_HH
@@ -279,8 +281,9 @@ class SystemSimulator
     explicit SystemSimulator(const SystemConfig &cfg);
 
     /**
-     * Simulate @p warmup then @p measure records from @p src.
-     * Statistics cover the measurement phase only.
+     * Simulate @p warmup then @p measure records from @p src (the
+     * contiguousPlan, pulled in order). Statistics cover the
+     * measurement phase only.
      */
     SystemResult run(TraceSource &src, uint64_t warmup,
                      uint64_t measure);
@@ -294,13 +297,18 @@ class SystemSimulator
                      uint64_t measure);
 
     /**
-     * Planned representative-window replay through the same window
-     * loop as runTracePlanned (see replayPlan): predictor and cache
-     * state carried across gaps, per-window counters weight-merged via
-     * operator+=. The result carries the confidence band (l3MissVar)
-     * and window accounting; derived metrics are recomputed over the
-     * merged counters. A plan selecting every window with weight 1
-     * reproduces the exact contiguous replay bit-identically.
+     * Replay @p trace under @p plan (see replayPlan): predictor and
+     * cache state carried across gaps, per-window counters
+     * weight-merged via operator+=. A sampled plan's result carries
+     * the confidence band (l3MissVar) and window accounting; derived
+     * metrics are recomputed over the merged counters. A plan that
+     * selects every window with weight 1 replays every record in order,
+     * so every integer counter equals the contiguous replay's. The
+     * Top-Down sums are merged window by window, though, so with the
+     * default charges their last bits, and IPC's with them, can differ
+     * from the contiguous replay's; they match bit for bit only when
+     * every charge is dyadic, as in
+     * System.PlannedReplayWithEveryWindowEqualsContiguousRun.
      */
     SystemResult runPlanned(const BufferedTrace &trace,
                             const SamplingPlan &plan);
@@ -308,11 +316,13 @@ class SystemSimulator
   private:
     /** The per-record loop, fed by both the pull and buffered paths. */
     void stepSpan(const TraceRecord *rec, size_t n);
-    uint64_t pumpRange(const BufferedTrace &trace, uint64_t begin,
-                       uint64_t count);
+    /**
+     * Walk @p plan through replayPlan, replaying each range with
+     * @p replay(begin, count), and derive IPC and AMAT.
+     */
+    template <class Replay>
+    SystemResult walkPlan(const SamplingPlan &plan, Replay &&replay);
     void resetStats();
-    /** Read the current counters off both halves. */
-    SystemResult harvestCounters() const;
 
     SystemConfig cfg_;
     PrivateSystem priv_;
@@ -406,21 +416,19 @@ struct PrivateRecording
 };
 
 /**
- * Replay @p cfg's private half over @p trace once: @p warmup then
- * @p measure records, or, when @p plan is enabled, the plan's ranges
+ * Replay @p cfg's private half over @p trace once: @p plan's ranges
  * in replayPlan's order.
  */
 PrivateRecording recordPrivateHalf(const SystemConfig &cfg,
                                    const BufferedTrace &trace,
-                                   uint64_t warmup, uint64_t measure,
                                    const SamplingPlan &plan);
 
 /**
- * Finish @p rec on @p cfg's shared half. Bit-identical to
- * SystemSimulator::run (or runPlanned, when @p plan is enabled) of
- * @p cfg over the recorded records, provided @p cfg has the recorded
- * private half (samePrivateHalf) and a non-inclusive LLC, whose
- * evictions never reach back into the private caches.
+ * Finish @p rec, recorded under @p plan, on @p cfg's shared half.
+ * Bit-identical to SystemSimulator::runPlanned of @p cfg under
+ * @p plan, provided @p cfg has the recorded private half
+ * (samePrivateHalf) and a non-inclusive LLC, whose evictions never
+ * reach back into the private caches.
  */
 SystemResult replaySharedHalf(const SystemConfig &cfg,
                               const PrivateRecording &rec,

@@ -1,10 +1,12 @@
 /**
  * @file
- * Trace-driven functional simulation driver: pushes records from a
- * TraceSource through a CacheHierarchy with a warmup phase, then
- * measures. Used directly by the pure miss-rate experiments (Figures
- * 6, 7, 13); the CPU-level experiments use cpu/system.hh which layers
- * branch prediction, TLBs, and Top-Down accounting on the same loop.
+ * What a replay reports and how records reach it. SimResult holds the
+ * cache and coherence counters and the sampling marks every replay
+ * returns (cpu/system.hh's SystemResult extends it). pullSpans streams
+ * a TraceSource through a fixed staging buffer and bufferedSpans hands
+ * over a BufferedTrace's chunks; SystemSimulator, the one simulator,
+ * feeds its per-record loop from both. runTrace is a cache-only
+ * replay kept for the benchmark harness's layer ladder.
  */
 
 #ifndef WSEARCH_MEMSIM_SIMULATOR_HH
@@ -117,37 +119,18 @@ struct SimResult
     }
 };
 
-/** Read @p hier's current counters into a result. */
-SimResult harvest(const CacheHierarchy &hier, uint64_t instructions);
-
 /**
- * Run @p warmup records (stats discarded), then @p measure records.
- * The source must not be exhausted before warmup + measure records.
- */
-SimResult runTrace(TraceSource &src, CacheHierarchy &hier,
-                   uint64_t warmup, uint64_t measure);
-
-/**
- * Chunked-replay variant: same semantics and bit-identical counters,
- * but consumes contiguous record spans from a materialized buffer --
- * no per-batch virtual dispatch, no copy into a staging buffer, and
- * no generation cost. Replay starts at the buffer's first record.
+ * Replay @p warmup records of @p trace (stats discarded), then
+ * @p measure records, through @p hier alone: no predictors, TLBs or
+ * core model. Its cache counters equal SystemSimulator::run's on the
+ * same buffer. It stays only because perfbench/layers.cc times it as
+ * the cache-only rungs of its layer ladder, and the benchmark harness
+ * is fixed: everything else replays through SystemSimulator.
  */
 SimResult runTrace(const BufferedTrace &trace, CacheHierarchy &hier,
                    uint64_t warmup, uint64_t measure);
 
-/** Replay one contiguous record span through @p hier: the memsim
- *  per-record loop, fed by both the pull and the buffered paths. */
-void pumpSpan(CacheHierarchy &hier, const TraceRecord *rec, size_t n);
-
-/**
- * Replay records [@p begin, @p begin + @p count) of @p trace.
- * @return records actually replayed (less when the buffer ends).
- */
-uint64_t pumpRange(const BufferedTrace &trace, CacheHierarchy &hier,
-                   uint64_t begin, uint64_t count);
-
-/** Records of the pull paths' fixed staging buffer. */
+/** Records of the pull path's fixed staging buffer. */
 constexpr size_t kStagingRecords = 8192;
 
 /**

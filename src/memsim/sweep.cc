@@ -74,6 +74,17 @@ SamplingPlan::simulatedFraction() const
 }
 
 SamplingPlan
+contiguousPlan(uint64_t warmup, uint64_t measure)
+{
+    SamplingPlan plan;
+    plan.windowRecords = measure;
+    plan.warmupRecords = warmup;
+    plan.totalWindows = 1;
+    plan.windows.push_back({warmup, measure, 1});
+    return plan;
+}
+
+SamplingPlan
 buildUniformPlan(uint64_t total_records,
                  const RepresentativeSampling &rep)
 {
@@ -290,23 +301,6 @@ runParallelJobs(size_t njobs, uint32_t threads,
         t.join();
 }
 
-SimResult
-runTracePlanned(const BufferedTrace &trace, CacheHierarchy &hier,
-                const SamplingPlan &plan)
-{
-    if (!plan.enabled())
-        return runTrace(trace, hier, 0, trace.size());
-    return replayPlan<SimResult>(
-        plan,
-        [&](uint64_t begin, uint64_t count) {
-            return pumpRange(trace, hier, begin, count);
-        },
-        [&] { hier.resetStats(); },
-        [&](uint64_t instructions) {
-            return harvest(hier, instructions);
-        });
-}
-
 SamplingPlan
 buildSweepPlan(const BufferedTrace &trace, uint64_t total,
                const SweepControl &control)
@@ -317,27 +311,6 @@ buildSweepPlan(const BufferedTrace &trace, uint64_t total,
     if (control.policy == SamplingPolicy::kClustered)
         return buildClusteredPlan(trace, total, control.rep);
     return buildUniformPlan(total, control.rep);
-}
-
-std::vector<SimResult>
-sweepHierarchies(const BufferedTrace &trace,
-                 const std::vector<HierarchySpec> &specs,
-                 uint64_t warmup, uint64_t measure,
-                 const SweepControl &control)
-{
-    std::vector<SimResult> results(specs.size());
-    // Plans depend only on the trace, never on the configuration:
-    // build once, share read-only across all workers.
-    const SamplingPlan plan =
-        buildSweepPlan(trace, warmup + measure, control);
-    runParallelJobs(specs.size(), control.threads, [&](size_t i) {
-        CacheHierarchy hier(specs[i]);
-        if (plan.enabled())
-            results[i] = runTracePlanned(trace, hier, plan);
-        else
-            results[i] = runTrace(trace, hier, warmup, measure);
-    });
-    return results;
 }
 
 } // namespace wsearch

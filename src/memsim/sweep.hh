@@ -1,20 +1,20 @@
 /**
  * @file
- * Parallel sweep engine. Every paper figure is a sweep: one trace
- * replayed through dozens of hierarchy configurations. The
- * configurations are embarrassingly independent, so the engine
- * materializes the trace once into a shared immutable BufferedTrace
- * and fans worker threads out over a work queue of configuration
- * jobs, each replaying the shared buffer through its own private
- * CacheHierarchy -- no sharing and no locks on the hot path, and
- * bit-identical SimResults to the serial runTrace.
+ * Replay plans and the one window loop every replay runs. A
+ * SamplingPlan names the record ranges to simulate and how to weigh
+ * them: contiguousPlan is the exact warmup+measure replay (one
+ * window, policy kOff), buildUniformPlan and buildClusteredPlan pick
+ * representative windows whose merged counters estimate the full
+ * replay and carry a confidence band. replayPlan walks any of them on
+ * one simulator: SystemSimulator (cpu/system.hh), the split
+ * private/shared passes of runWorkloadSweep (core/experiments.hh) and
+ * the cache-only runTrace (memsim/simulator.hh) all replay through
+ * it. runParallelJobs fans a sweep's jobs out over
+ * SweepControl::threads workers (0: hardware concurrency).
  *
- * The worker count is SweepControl::threads (0: hardware
- * concurrency). Representative-window sampling (uniform or clustered
- * plans, see SamplingPlan) trades exactness for speed; sampled
- * results carry a nonzero SimResult::sampledWindows plus a confidence
- * band and must be reported as estimates. Every knob is an argument:
- * nothing here reads the environment.
+ * Sampled results carry a nonzero SimResult::sampledWindows plus a
+ * confidence band and must be reported as estimates. Every knob is an
+ * argument: nothing here reads the environment.
  */
 
 #ifndef WSEARCH_MEMSIM_SWEEP_HH
@@ -25,7 +25,6 @@
 #include <functional>
 #include <vector>
 
-#include "memsim/simulator.hh"
 #include "trace/buffered_trace.hh"
 #include "trace/signature.hh"
 
@@ -113,7 +112,8 @@ struct SampleWindow
  * position order, with what weights, plus the per-cluster dispersion
  * data the confidence band is derived from. Plans depend only on the
  * trace (never on the cache configuration), so one plan is shared by
- * every configuration of a sweep.
+ * every configuration of a sweep. A kOff plan is exact: its one
+ * window is the contiguous measurement (contiguousPlan).
  */
 struct SamplingPlan
 {
@@ -141,6 +141,14 @@ struct SamplingPlan
     /** Fraction of the represented records actually simulated. */
     double simulatedFraction() const;
 };
+
+/**
+ * The exact replay as a plan: @p warmup records with stats off, then
+ * one measured window of @p measure records, weight 1. Its policy is
+ * kOff, so replayPlan reports the result exact: no sampled or
+ * represented windows and no band.
+ */
+SamplingPlan contiguousPlan(uint64_t warmup, uint64_t measure);
 
 /**
  * Evenly spaced selection: sampleWindows windows at equal strides,
@@ -198,7 +206,8 @@ struct SweepControl
 /**
  * Build the plan a sweep with @p control over the first @p total
  * records of @p trace would use: a clustered or uniform plan when
- * control.planned(), else a disabled (empty) plan.
+ * control.planned(), else an empty plan, which replays nothing (the
+ * exact replay is a contiguousPlan).
  */
 SamplingPlan buildSweepPlan(const BufferedTrace &trace, uint64_t total,
                             const SweepControl &control);
@@ -215,15 +224,15 @@ void runParallelJobs(size_t njobs, uint32_t threads,
                      const std::function<void(size_t)> &job);
 
 /**
- * The planned-replay window loop, shared by runTracePlanned and
- * SystemSimulator::runPlanned. Windows are visited in position order
- * on one simulator (state carried across the skipped gaps; up to
- * plan.warmupRecords re-warmed before each window with stats off);
+ * The window loop of every replay. Windows are visited in position
+ * order on one simulator (state carried across the skipped gaps; up
+ * to plan.warmupRecords re-warmed before each window with stats off);
  * each window's counters are harvested and weight-merged via
- * Result::operator+=, and the merged result carries the confidence
- * band (l3MissVar), sampledWindows == windows simulated, and
- * representedWindows == total windows represented. The callbacks run
- * once per window, never per record:
+ * Result::operator+=. A sampled plan's result carries the confidence
+ * band (l3MissVar), sampledWindows == windows simulated and
+ * representedWindows == total windows represented; a kOff plan's
+ * carries none of them. The callbacks run once per window, never per
+ * record:
  *   replay(begin, count) -> records replayed
  *   resetStats()
  *   harvest(instructions) -> Result of the window just replayed
@@ -233,6 +242,7 @@ Result
 replayPlan(const SamplingPlan &plan, Replay &&replay, Reset &&resetStats,
            Harvest &&harvest)
 {
+    const bool sampled = plan.policy != SamplingPolicy::kOff;
     Result acc;
     std::vector<double> metric;
     metric.reserve(plan.windows.size());
@@ -252,39 +262,19 @@ replayPlan(const SamplingPlan &plan, Replay &&replay, Reset &&resetStats,
         Result scaled;
         for (uint64_t r = 0; r < w.weight; ++r)
             scaled += win;
-        scaled.sampledWindows = 1;
-        scaled.representedWindows = w.weight;
+        if (sampled) {
+            scaled.sampledWindows = 1;
+            scaled.representedWindows = w.weight;
+        }
         acc += scaled;
         pos = w.begin + done;
     }
-    acc.l3MissVar = planVariance(
-        plan, metric, static_cast<double>(acc.l3.totalMisses()));
+    if (sampled) {
+        acc.l3MissVar = planVariance(
+            plan, metric, static_cast<double>(acc.l3.totalMisses()));
+    }
     return acc;
 }
-
-/**
- * Planned representative-window replay of @p trace through @p hier
- * (see replayPlan). A plan selecting every window with weight 1
- * reproduces the exact contiguous replay bit-identically; a disabled
- * plan replays the whole buffer exactly.
- */
-SimResult runTracePlanned(const BufferedTrace &trace,
-                          CacheHierarchy &hier,
-                          const SamplingPlan &plan);
-
-/**
- * The sweep: replay @p trace through a private CacheHierarchy per
- * configuration, @p warmup records of warmup then @p measure records
- * of measurement each, in parallel. Result i belongs to config i and
- * is bit-identical to serial runTrace at any thread count (unless
- * control.planned(), which replaces the warmup/measure split with a
- * representative-window plan over the first warmup+measure records).
- */
-std::vector<SimResult>
-sweepHierarchies(const BufferedTrace &trace,
-                 const std::vector<HierarchySpec> &specs,
-                 uint64_t warmup, uint64_t measure,
-                 const SweepControl &control = {});
 
 } // namespace wsearch
 

@@ -166,7 +166,13 @@ TEST(WorkloadSweep, BitIdenticalToSerialRunWorkloadAtAnyThreadCount)
             SCOPED_TRACE("threads=" + std::to_string(threads) +
                          " option=" + std::to_string(i));
             expectSystemEq(got[i], oracle[i]);
+            // Exact: shared passes of a class (option 0) and direct
+            // inclusive-LLC replays (13, 14) alike carry no window
+            // accounting and no band. Checked outright, since the
+            // oracle runs the same window loop.
             EXPECT_EQ(got[i].sampledWindows, 0u);
+            EXPECT_EQ(got[i].representedWindows, 0u);
+            EXPECT_EQ(bits(got[i].l3MissVar), bits(0.0));
         }
     }
     // The shared halves saw victims, LLC evictions and L4 traffic.

@@ -311,9 +311,9 @@ TEST(System, SharedHalfOverARecordingEqualsTheFullRun)
         cache_gen_llc_exc(256 * KiB, 64, 8);
     shared_variants[2].hierarchy.l4 = cache_gen_victim(2 * MiB, 64);
     for (const bool planned : {false, true}) {
-        const SamplingPlan &p = planned ? plan : SamplingPlan{};
-        const PrivateRecording rec =
-            recordPrivateHalf(base, *trace, 10'000, 30'000, p);
+        const SamplingPlan p =
+            planned ? plan : contiguousPlan(10'000, 30'000);
+        const PrivateRecording rec = recordPrivateHalf(base, *trace, p);
         for (size_t v = 0; v < shared_variants.size(); ++v) {
             SCOPED_TRACE("planned=" + std::to_string(planned) +
                          " variant=" + std::to_string(v));
@@ -354,6 +354,38 @@ TEST(System, PullPathEqualsBufferedPathAcrossChunkAndStagingEdges)
                 buffered_sim.run(*trace, split[0], split[1]), want);
         }
     }
+}
+
+/** No window accounting and a zero band, to the bit. */
+void
+expectExact(const SystemResult &r)
+{
+    EXPECT_EQ(r.sampledWindows, 0u);
+    EXPECT_EQ(r.representedWindows, 0u);
+    EXPECT_EQ(bits(r.l3MissVar), bits(0.0));
+}
+
+TEST(System, ExactRunsCarryNoSamplingMarks)
+{
+    // Exact runs go through the same window loop as sampled ones, as
+    // a one-window kOff plan: nothing but that policy keeps the
+    // sampled marks, the floor variance included, off them.
+    SyntheticSearchTrace pull(tinyProfile(), 2);
+    SystemSimulator pull_sim(smallSystem(2));
+    const SystemResult from_pull = pull_sim.run(pull, 5'000, 20'000);
+    EXPECT_GT(from_pull.l3.totalMisses(), 0u);
+    expectExact(from_pull);
+
+    SyntheticSearchTrace src(tinyProfile(), 2);
+    const auto trace = BufferedTrace::materialize(src, 25'000);
+    SystemSimulator buffered_sim(smallSystem(2));
+    expectExact(buffered_sim.run(*trace, 5'000, 20'000));
+    const SamplingPlan exact = contiguousPlan(5'000, 20'000);
+    SystemSimulator planned_sim(smallSystem(2));
+    expectExact(planned_sim.runPlanned(*trace, exact));
+    expectExact(replaySharedHalf(
+        smallSystem(2), recordPrivateHalf(smallSystem(2), *trace, exact),
+        exact));
 }
 
 TEST(ChunkedLogDeathTest, ReadingPastTheEndDies)

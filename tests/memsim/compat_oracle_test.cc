@@ -5,12 +5,13 @@
  * measured records. Hierarchies assembled from the cache_gen_*
  * generators must reproduce every counter EXACTLY -- any drift means
  * the simulation semantics changed, which is a bug even if the new
- * numbers look plausible.
+ * numbers look plausible. They replay through SystemSimulator, whose
+ * cache counters do not depend on its predictors or core model.
  */
 #include <gtest/gtest.h>
 
+#include "cpu/system.hh"
 #include "memsim/spec.hh"
-#include "memsim/sweep.hh"
 #include "trace/synthetic.hh"
 
 namespace wsearch {
@@ -32,8 +33,10 @@ SimResult
 runOracle(const HierarchySpec &cfg)
 {
     SyntheticSearchTrace src(WorkloadProfile::s1Leaf(), 4);
-    CacheHierarchy hier(cfg);
-    return runTrace(src, hier, 40'000, 80'000);
+    SystemConfig sys;
+    sys.hierarchy = cfg;
+    SystemSimulator sim(sys);
+    return sim.run(src, 40'000, 80'000);
 }
 
 void

@@ -1,9 +1,9 @@
 /**
  * @file
  * Statistical test suite for clustered representative-interval
- * sampling (memsim/sweep.hh + trace/signature.hh). The load-bearing
- * claims, each proven against a full-replay oracle on seeded
- * phase-shifting synthetic traces:
+ * sampling (memsim/sweep.hh + trace/signature.hh), replayed through
+ * SystemSimulator. The load-bearing claims, each proven against a
+ * full-replay oracle on seeded phase-shifting synthetic traces:
  *
  *   1. Clustered sampling's estimate lands within its own reported
  *      confidence band of the oracle.
@@ -18,8 +18,8 @@
  *      perturbs the buffer, and window signatures are invariant to
  *      chunk granularity (windows straddling chunk edges included).
  *   5. sampledWindows / representedWindows / l3MissVar survive
- *      SimResult::operator+= merges identically at any sweep thread
- *      count.
+ *      SimResult::operator+= merges, and a planned runWorkloadSweep
+ *      reports them identically at any thread count.
  */
 
 #include <gtest/gtest.h>
@@ -145,12 +145,12 @@ makePhaseTrace(const std::vector<bool> &schedule,
     return BufferedTrace::materialize(src, kTotal, chunk);
 }
 
-HierarchySpec
+SystemConfig
 testConfig()
 {
-    HierarchySpec cfg;
-    cfg.numCores = 1;
-    cfg.llc.cache.sizeBytes = 1 * MiB;
+    SystemConfig cfg;
+    cfg.hierarchy.numCores = 1;
+    cfg.hierarchy.llc.cache.sizeBytes = 1 * MiB;
     return cfg;
 }
 
@@ -187,8 +187,8 @@ expectSimEq(const SimResult &a, const SimResult &b, const char *what)
 SimResult
 fullReplayOracle(const BufferedTrace &trace)
 {
-    CacheHierarchy hier(testConfig());
-    return runTrace(trace, hier, 0, trace.size());
+    SystemSimulator sim(testConfig());
+    return sim.run(trace, 0, trace.size());
 }
 
 // ---------------------------------------------------------------------
@@ -239,8 +239,8 @@ TEST(ClusteredSampling, OracleInsideReportedBand)
         buildClusteredPlan(*trace, kTotal, testRep());
     ASSERT_TRUE(plan.enabled());
 
-    CacheHierarchy hier(testConfig());
-    const SimResult got = runTracePlanned(*trace, hier, plan);
+    SystemSimulator sim(testConfig());
+    const SimResult got = sim.runPlanned(*trace, plan);
     EXPECT_GT(got.sampledWindows, 0u);
     EXPECT_LE(got.sampledWindows, 4u);
     EXPECT_EQ(got.representedWindows, kNumWin);
@@ -264,8 +264,8 @@ TEST(ClusteredSampling, BandCoversOracleAcrossSeeds)
                          std::to_string(kmeans_seed));
             const SamplingPlan plan = buildClusteredPlan(
                 *trace, kTotal, testRep(4, kmeans_seed));
-            CacheHierarchy hier(testConfig());
-            const SimResult got = runTracePlanned(*trace, hier, plan);
+            SystemSimulator sim(testConfig());
+            const SimResult got = sim.runPlanned(*trace, plan);
             const double o =
                 static_cast<double>(oracle.l3.totalMisses());
             EXPECT_GE(o, got.l3MissBandLo());
@@ -296,10 +296,10 @@ TEST(ClusteredSampling, BeatsUniformAtEqualBudget)
         measuredU += w.records;
     EXPECT_EQ(measuredC, measuredU);
 
-    CacheHierarchy hc(testConfig());
-    const SimResult gc = runTracePlanned(*trace, hc, clustered);
-    CacheHierarchy hu(testConfig());
-    const SimResult gu = runTracePlanned(*trace, hu, uniform);
+    SystemSimulator csim(testConfig());
+    const SimResult gc = csim.runPlanned(*trace, clustered);
+    SystemSimulator usim(testConfig());
+    const SimResult gu = usim.runPlanned(*trace, uniform);
 
     const double o = static_cast<double>(oracle.l3.totalMisses());
     const double errC =
@@ -368,8 +368,8 @@ TEST(SamplingPlans, FullSelectionReconstructsOracleBitIdentically)
     for (const SampleWindow &w : plan.windows)
         EXPECT_EQ(w.weight, 1u);
 
-    CacheHierarchy hier(testConfig());
-    const SimResult got = runTracePlanned(*trace, hier, plan);
+    SystemSimulator sim(testConfig());
+    const SimResult got = sim.runPlanned(*trace, plan);
     expectSimEq(got, oracle, "k == N reconstruction");
     EXPECT_EQ(got.sampledWindows, kNumWin);
     EXPECT_EQ(got.representedWindows, kNumWin);
@@ -377,8 +377,8 @@ TEST(SamplingPlans, FullSelectionReconstructsOracleBitIdentically)
     // The uniform k == N plan goes through the same degenerate path.
     const SamplingPlan uplan = buildUniformPlan(
         kTotal, testRep(static_cast<uint32_t>(kNumWin)));
-    CacheHierarchy uh(testConfig());
-    expectSimEq(runTracePlanned(*trace, uh, uplan), oracle,
+    SystemSimulator usim(testConfig());
+    expectSimEq(usim.runPlanned(*trace, uplan), oracle,
                 "uniform k == N reconstruction");
 }
 
@@ -399,45 +399,6 @@ TEST(SamplingPlans, BandFieldsSurviveOperatorPlusEq)
     EXPECT_EQ(a.sampledWindows, 5u);
     EXPECT_EQ(a.representedWindows, 30u);
     EXPECT_DOUBLE_EQ(a.l3MissVar, 3.75);
-}
-
-TEST(SamplingPlans, SweepResultsIdenticalAcrossThreadCounts)
-{
-    const auto trace = makePhaseTrace(fixedSchedule());
-    std::vector<HierarchySpec> configs;
-    for (const uint64_t l3 : {512 * KiB, 1 * MiB, 4 * MiB})
-        configs.push_back(testConfig()),
-            configs.back().llc.cache.sizeBytes = l3;
-
-    SweepControl base;
-    base.policy = SamplingPolicy::kClustered;
-    base.rep = testRep();
-    base.threads = 1;
-    const std::vector<SimResult> want =
-        sweepHierarchies(*trace, configs, 0, kTotal, base);
-    ASSERT_EQ(want.size(), configs.size());
-    for (const SimResult &r : want) {
-        EXPECT_GT(r.sampledWindows, 0u);
-        EXPECT_EQ(r.representedWindows, kNumWin);
-        EXPECT_GT(r.l3MissVar, 0.0);
-    }
-
-    for (const uint32_t threads : {2u, 4u, 8u}) {
-        SweepControl opt = base;
-        opt.threads = threads;
-        const std::vector<SimResult> got =
-            sweepHierarchies(*trace, configs, 0, kTotal, opt);
-        for (size_t i = 0; i < configs.size(); ++i) {
-            SCOPED_TRACE("threads=" + std::to_string(threads) +
-                         " config=" + std::to_string(i));
-            expectSimEq(got[i], want[i], "threaded sweep");
-            EXPECT_EQ(got[i].sampledWindows, want[i].sampledWindows);
-            EXPECT_EQ(got[i].representedWindows,
-                      want[i].representedWindows);
-            // Bit-identical variance: same plan, same merge order.
-            EXPECT_EQ(got[i].l3MissVar, want[i].l3MissVar);
-        }
-    }
 }
 
 TEST(SamplingPlans, WorkloadSweepCarriesBandThroughSystemResult)
@@ -535,8 +496,8 @@ TEST(TwoPassReplay, SignaturePassLeavesBufferBitIdentical)
 
     // Simulation after the signature pass == simulation without it.
     const SimResult fresh = fullReplayOracle(*trace);
-    CacheHierarchy hier(testConfig());
-    expectSimEq(runTrace(*trace, hier, 0, kTotal), fresh,
+    SystemSimulator sim(testConfig());
+    expectSimEq(sim.run(*trace, 0, kTotal), fresh,
                 "simulate after signature pass");
 }
 
@@ -604,8 +565,8 @@ TEST(TwoPassReplay, SignaturesInvariantToChunkGranularity)
     const auto small = makePhaseTrace(schedule, 256);
     const SamplingPlan plan =
         buildClusteredPlan(*small, kTotal, testRep(4, 17));
-    CacheHierarchy hier(testConfig());
-    const SimResult got = runTracePlanned(*small, hier, plan);
+    SystemSimulator sim(testConfig());
+    const SimResult got = sim.runPlanned(*small, plan);
     const SimResult oracle = fullReplayOracle(*small);
     const double o = static_cast<double>(oracle.l3.totalMisses());
     EXPECT_GE(o, got.l3MissBandLo());

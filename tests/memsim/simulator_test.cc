@@ -1,6 +1,13 @@
+/**
+ * Replay through SystemSimulator on pull sources (the RunTrace suite:
+ * warmup/measure accounting, source exhaustion, staging-batch edges)
+ * and SimResult merging. The cache-only runTrace rung is pinned to the
+ * simulator in sweep_test.cc.
+ */
 #include <gtest/gtest.h>
 
-#include "memsim/simulator.hh"
+#include "cpu/system.hh"
+#include "util/units.hh"
 
 namespace wsearch {
 namespace {
@@ -41,15 +48,16 @@ load(uint64_t pc, uint64_t addr, AccessKind kind = AccessKind::Heap)
     return r;
 }
 
-HierarchySpec
+SystemConfig
 tiny()
 {
-    HierarchySpec h;
+    SystemConfig s;
+    HierarchySpec &h = s.hierarchy;
     h.l1i.cache = {1 * KiB, 64, 4};
     h.l1d.cache = {1 * KiB, 64, 4};
     h.l2.cache = {4 * KiB, 64, 4};
     h.llc.cache = {16 * KiB, 64, 4};
-    return h;
+    return s;
 }
 
 TEST(RunTrace, CountsMeasuredInstructionsOnly)
@@ -58,8 +66,8 @@ TEST(RunTrace, CountsMeasuredInstructionsOnly)
     for (int i = 0; i < 100; ++i)
         recs.push_back(load(0x400000 + i * 4, 0x9000 + i * 64));
     VectorSource src(recs);
-    CacheHierarchy hier(tiny());
-    const SimResult res = runTrace(src, hier, 30, 70);
+    SystemSimulator sim(tiny());
+    const SimResult res = sim.run(src, 30, 70);
     EXPECT_EQ(res.instructions, 70u);
     EXPECT_EQ(res.l1i.totalAccesses(), 70u);
     EXPECT_EQ(res.l1d.totalAccesses(), 70u);
@@ -72,8 +80,8 @@ TEST(RunTrace, WarmupStateSurvivesStatReset)
     std::vector<TraceRecord> recs = {load(0x400000, 0x9000),
                                      load(0x400000, 0x9000)};
     VectorSource src(recs);
-    CacheHierarchy hier(tiny());
-    const SimResult res = runTrace(src, hier, 1, 1);
+    SystemSimulator sim(tiny());
+    const SimResult res = sim.run(src, 1, 1);
     EXPECT_EQ(res.instructions, 1u);
     EXPECT_EQ(res.l1d.totalMisses(), 0u);
 }
@@ -82,8 +90,8 @@ TEST(RunTrace, StopsAtSourceExhaustion)
 {
     std::vector<TraceRecord> recs(10, load(0x400000, 0x9000));
     VectorSource src(recs);
-    CacheHierarchy hier(tiny());
-    const SimResult res = runTrace(src, hier, 0, 1000);
+    SystemSimulator sim(tiny());
+    const SimResult res = sim.run(src, 0, 1000);
     EXPECT_EQ(res.instructions, 10u);
 }
 
@@ -95,8 +103,8 @@ TEST(RunTrace, InstrOnlyRecordsSkipDataPath)
     r.op = MemOp::None;
     recs.assign(50, r);
     VectorSource src(recs);
-    CacheHierarchy hier(tiny());
-    const SimResult res = runTrace(src, hier, 0, 50);
+    SystemSimulator sim(tiny());
+    const SimResult res = sim.run(src, 0, 50);
     EXPECT_EQ(res.l1d.totalAccesses(), 0u);
     EXPECT_EQ(res.l1i.totalAccesses(), 50u);
 }
@@ -111,8 +119,8 @@ TEST(RunTrace, StoresMarkDirtyAndWriteBack)
     for (int i = 1; i <= 300; ++i)
         recs.push_back(load(0x400000, i * 64ull));
     VectorSource src(recs);
-    CacheHierarchy hier(tiny());
-    const SimResult res = runTrace(src, hier, 0, recs.size());
+    SystemSimulator sim(tiny());
+    const SimResult res = sim.run(src, 0, recs.size());
     EXPECT_GT(res.writebacks, 0u);
 }
 
@@ -166,13 +174,13 @@ TEST(SimResultMerge, MergeEqualsContiguousRunWhenStateCarries)
         recs.push_back(load(0x400000 + i * 4, (i % 32) * 64ull));
 
     VectorSource whole(recs);
-    CacheHierarchy h1(tiny());
-    const SimResult full = runTrace(whole, h1, 0, 200);
+    SystemSimulator s1(tiny());
+    const SimResult full = s1.run(whole, 0, 200);
 
     VectorSource halves(recs);
-    CacheHierarchy h2(tiny());
-    SimResult merged = runTrace(halves, h2, 0, 100);
-    merged += runTrace(halves, h2, 0, 100);
+    SystemSimulator s2(tiny());
+    SimResult merged = s2.run(halves, 0, 100);
+    merged += s2.run(halves, 0, 100);
     EXPECT_EQ(merged.instructions, full.instructions);
     EXPECT_EQ(merged.l1d.totalAccesses(), full.l1d.totalAccesses());
     EXPECT_EQ(merged.l1d.totalMisses(), full.l1d.totalMisses());
@@ -187,8 +195,8 @@ TEST(RunTrace, BatchBoundaryExactness)
     for (int i = 0; i < 20000; ++i)
         recs.push_back(load(0x400000, (i % 64) * 64ull));
     VectorSource src(recs);
-    CacheHierarchy hier(tiny());
-    const SimResult res = runTrace(src, hier, 0, 20000);
+    SystemSimulator sim(tiny());
+    const SimResult res = sim.run(src, 0, 20000);
     EXPECT_EQ(res.instructions, 20000u);
     EXPECT_EQ(res.l1d.totalAccesses(), 20000u);
 }

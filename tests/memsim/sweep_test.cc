@@ -4,8 +4,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "cpu/system.hh"
+#include "memsim/simulator.hh"
 #include "memsim/sweep.hh"
 #include "trace/profile.hh"
 #include "trace/synthetic.hh"
@@ -14,46 +18,19 @@
 namespace wsearch {
 namespace {
 
-constexpr uint64_t kRecords = 120'000;
 constexpr uint32_t kTraceThreads = 4;
 
 std::shared_ptr<const BufferedTrace>
-makeTrace(uint64_t records = kRecords,
-          size_t chunk = BufferedTrace::kDefaultChunkRecords)
+makeTrace(uint64_t records, size_t chunk)
 {
     SyntheticSearchTrace src(WorkloadProfile::s1Leaf(), kTraceThreads);
     return BufferedTrace::materialize(src, records, chunk);
 }
 
-std::vector<HierarchySpec>
-sweepConfigs()
-{
-    std::vector<HierarchySpec> configs;
-    for (const uint64_t l3 : {1 * MiB, 4 * MiB, 16 * MiB}) {
-        HierarchySpec h;
-        h.numCores = 4;
-        h.llc.cache.sizeBytes = l3;
-        h.llc.cache.ways = 16;
-        configs.push_back(h);
-    }
-    {
-        HierarchySpec h;
-        h.numCores = 4;
-        h.l4 = cache_gen_victim(8 * MiB, 64);
-        configs.push_back(h);
-    }
-    {
-        HierarchySpec h;
-        h.numCores = 2;
-        h.smtWays = 2;
-        h.llc.inclusion = InclusionMode::Inclusive;
-        configs.push_back(h);
-    }
-    return configs;
-}
-
+/** Every cache, writeback, eviction and coherence counter equal. */
 void
-expectSimEq(const SimResult &a, const SimResult &b, const char *what)
+expectCacheCountersEq(const SimResult &a, const SimResult &b,
+                      const char *what)
 {
     EXPECT_EQ(a.instructions, b.instructions) << what;
     const CacheLevelStats *as[] = {&a.l1i, &a.l1d, &a.l2, &a.l3, &a.l4};
@@ -78,39 +55,57 @@ expectSimEq(const SimResult &a, const SimResult &b, const char *what)
     EXPECT_EQ(a.cohDirtyWritebacks, b.cohDirtyWritebacks) << what;
 }
 
-/** Serial oracle: fresh source, classic virtual-dispatch runTrace. */
-SimResult
-serialOracle(const HierarchySpec &cfg, uint64_t warmup,
-             uint64_t measure)
+/**
+ * The plain hierarchy, and one that moves the counters it leaves at
+ * zero: back-invalidations, L4, prefetches and coherence.
+ */
+std::vector<SystemConfig>
+rungConfigs()
 {
-    SyntheticSearchTrace src(WorkloadProfile::s1Leaf(), kTraceThreads);
-    CacheHierarchy hier(cfg);
-    return runTrace(src, hier, warmup, measure);
+    SystemConfig plain;
+    plain.hierarchy.numCores = 4;
+    plain.hierarchy.llc.cache.sizeBytes = 1 * MiB;
+    SystemConfig inclusive = plain;
+    inclusive.hierarchy.llc = cache_gen_llc_inc(256 * KiB, 64, 8);
+    inclusive.hierarchy.l4 = cache_gen_victim(1 * MiB, 64);
+    inclusive.hierarchy.prefetch = PrefetchConfig::allOn();
+    inclusive.hierarchy.coherence = CoherenceProtocol::MESI;
+    return {plain, inclusive};
 }
 
-TEST(SweepEngine, ParallelSweepBitIdenticalToSerialRunTrace)
+/**
+ * The cache-only runTrace rung over @p trace against
+ * SystemSimulator::run on the same buffer and on a fresh pull source
+ * (one unchunked stream): every counter equal. perfbench's
+ * memsim.llc_ns_per_rec and cpu.self_ns_per_rec are differences
+ * between the rung and the simulator over one buffer, so they mean
+ * something only if both replay the same cache work. Returns the rung.
+ */
+SimResult
+expectRungExact(const BufferedTrace &trace, const SystemConfig &cfg,
+                uint64_t warmup, uint64_t measure)
 {
-    const auto trace = makeTrace();
-    const std::vector<HierarchySpec> configs = sweepConfigs();
-    const uint64_t warmup = 40'000, measure = 80'000;
+    CacheHierarchy hier(cfg.hierarchy);
+    const SimResult rung = runTrace(trace, hier, warmup, measure);
+    EXPECT_EQ(rung.instructions, measure);
+    SystemSimulator buffered(cfg);
+    expectCacheCountersEq(rung, buffered.run(trace, warmup, measure),
+                          "rung vs simulator on the buffer");
+    SyntheticSearchTrace src(WorkloadProfile::s1Leaf(), kTraceThreads);
+    SystemSimulator pulled(cfg);
+    expectCacheCountersEq(rung, pulled.run(src, warmup, measure),
+                          "rung vs simulator on a pull source");
+    return rung;
+}
 
-    std::vector<SimResult> oracle;
-    for (const HierarchySpec &cfg : configs)
-        oracle.push_back(serialOracle(cfg, warmup, measure));
-
-    for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
-        SweepControl control;
-        control.threads = threads;
-        const std::vector<SimResult> got =
-            sweepHierarchies(*trace, configs, warmup, measure, control);
-        ASSERT_EQ(got.size(), configs.size());
-        for (size_t i = 0; i < configs.size(); ++i) {
-            SCOPED_TRACE("threads=" + std::to_string(threads) +
-                         " config=" + std::to_string(i));
-            expectSimEq(got[i], oracle[i], "sweep vs serial");
-            EXPECT_EQ(got[i].sampledWindows, 0u);
-        }
-    }
+/** The second rung config's counters move what the first leaves at 0. */
+void
+expectInclusiveCountersMoved(const SimResult &moved)
+{
+    EXPECT_GT(moved.backInvalidations, 0u);
+    EXPECT_GT(moved.l4.totalAccesses(), 0u);
+    EXPECT_GT(moved.l2.prefetchIssued, 0u);
+    EXPECT_GT(moved.cohInvalidations, 0u);
 }
 
 TEST(SweepEngine, ChunkBoundaryStraddlingSplitsAreExact)
@@ -119,41 +114,47 @@ TEST(SweepEngine, ChunkBoundaryStraddlingSplitsAreExact)
     // chunk edge, and straddle several chunks.
     const auto trace = makeTrace(10'000, 256);
     ASSERT_GT(trace->numChunks(), 30u);
-    HierarchySpec cfg;
-    cfg.numCores = 4;
-    cfg.llc.cache.sizeBytes = 1 * MiB;
+    const std::vector<SystemConfig> configs = rungConfigs();
 
     const uint64_t splits[][2] = {
-        {0, 10'000},   // no warmup
-        {256, 9'744},  // warmup == one chunk exactly
-        {255, 513},    // one-off-the-edge warmup, straddling measure
+        {0, 10'000},    // no warmup
+        {256, 9'744},   // warmup == one chunk exactly
+        {255, 513},     // one-off-the-edge warmup, straddling measure
         {1'000, 3'000}, // mid-chunk both
-        {9'999, 1},    // measure is the final record
-        {512, 9'488},  // edge-aligned warmup, tail measure
+        {9'999, 1},     // measure is the final record
+        {512, 9'488},   // edge-aligned warmup, tail measure
     };
+    SimResult moved; // the inclusive hierarchy's counters, summed
     for (const auto &s : splits) {
-        CacheHierarchy chunked(cfg);
-        const SimResult got =
-            runTrace(*trace, chunked, s[0], s[1]);
-        const SimResult want = serialOracle(cfg, s[0], s[1]);
-        SCOPED_TRACE("warmup=" + std::to_string(s[0]) +
-                     " measure=" + std::to_string(s[1]));
-        expectSimEq(got, want, "chunked vs serial");
+        for (size_t i = 0; i < configs.size(); ++i) {
+            SCOPED_TRACE("warmup=" + std::to_string(s[0]) +
+                         " measure=" + std::to_string(s[1]) +
+                         " config=" + std::to_string(i));
+            const SimResult rung =
+                expectRungExact(*trace, configs[i], s[0], s[1]);
+            if (i == 1)
+                moved += rung;
+        }
     }
+    expectInclusiveCountersMoved(moved);
 }
 
 TEST(SweepEngine, ChunkGranularityDoesNotChangeResults)
 {
-    HierarchySpec cfg;
-    cfg.numCores = 4;
-    const SimResult want = serialOracle(cfg, 7'000, 13'000);
+    const std::vector<SystemConfig> configs = rungConfigs();
+    SimResult moved; // the inclusive hierarchy's counters, summed
     for (const size_t chunk : {64u, 1'000u, 8'192u, 1u << 16}) {
         const auto trace = makeTrace(20'000, chunk);
-        CacheHierarchy hier(cfg);
-        const SimResult got = runTrace(*trace, hier, 7'000, 13'000);
-        SCOPED_TRACE("chunk=" + std::to_string(chunk));
-        expectSimEq(got, want, "chunk granularity");
+        for (size_t i = 0; i < configs.size(); ++i) {
+            SCOPED_TRACE("chunk=" + std::to_string(chunk) +
+                         " config=" + std::to_string(i));
+            const SimResult rung =
+                expectRungExact(*trace, configs[i], 7'000, 13'000);
+            if (i == 1)
+                moved += rung;
+        }
     }
+    expectInclusiveCountersMoved(moved);
 }
 
 TEST(SweepEngine, RunParallelJobsCoversEveryIndexOnce)
@@ -167,6 +168,45 @@ TEST(SweepEngine, RunParallelJobsCoversEveryIndexOnce)
         for (size_t i = 0; i < hits.size(); ++i)
             ASSERT_EQ(hits[i].load(), 1) << "threads " << threads
                                          << " index " << i;
+    }
+}
+
+TEST(SweepEngine, ContiguousPlanReplaysWarmupThenOneExactWindow)
+{
+    for (const uint64_t warmup : {0u, 300u}) {
+        SCOPED_TRACE("warmup=" + std::to_string(warmup));
+        const SamplingPlan plan = contiguousPlan(warmup, 700);
+        EXPECT_EQ(plan.policy, SamplingPolicy::kOff);
+        std::vector<std::string> calls;
+        const SimResult res = replayPlan<SimResult>(
+            plan,
+            [&](uint64_t begin, uint64_t count) {
+                calls.push_back("replay " + std::to_string(begin) + "+" +
+                                std::to_string(count));
+                return count;
+            },
+            [&] { calls.push_back("reset"); },
+            [&](uint64_t instructions) {
+                calls.push_back("harvest " + std::to_string(instructions));
+                SimResult win;
+                win.instructions = instructions;
+                win.l3.record(AccessKind::Heap, /*miss=*/true);
+                return win;
+            });
+        std::vector<std::string> want;
+        if (warmup)
+            want.push_back("replay 0+300");
+        want.insert(want.end(),
+                    {"reset", "replay " + std::to_string(warmup) + "+700",
+                     "harvest 700"});
+        EXPECT_EQ(calls, want);
+        EXPECT_EQ(res.instructions, 700u);
+        EXPECT_EQ(res.l3.totalMisses(), 1u);
+        // Exact: no window accounting, and no band even though a
+        // sampled plan's floor would give these misses one.
+        EXPECT_EQ(res.sampledWindows, 0u);
+        EXPECT_EQ(res.representedWindows, 0u);
+        EXPECT_EQ(res.l3MissVar, 0.0);
     }
 }
 
