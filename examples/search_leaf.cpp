@@ -1,43 +1,54 @@
 /**
  * @file
  * End-to-end mini search system: build a materialized inverted index
- * over a synthetic corpus, stand up a two-leaf serving tree with a
- * query-cache tier, serve real queries, then run the *instrumented*
- * engine as a trace source through the cache simulator and print its
- * memory-hierarchy profile — the same pipeline the paper used with
- * production servers and Pin traces.
+ * over a synthetic corpus in two disjoint shards, serve real queries
+ * through the scatter-gather cluster (a query-cache tier in front of
+ * each leaf, the root merging their top-k), then run the
+ * *instrumented* engine as a trace source through the cache simulator
+ * and print its memory-hierarchy profile — the same pipeline the
+ * paper used with production servers and Pin traces.
  *
  *   ./examples/search_leaf
+ *
+ * Exits 1 when the sample result page holds a doc id outside the
+ * corpus or the same doc twice.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <unordered_set>
 
 #include "cpu/system.hh"
 #include "search/engine_trace.hh"
-#include "search/root.hh"
+#include "search/sharding.hh"
+#include "serve/cluster.hh"
 
-int
-main()
+namespace wsearch {
+namespace {
+
+/** Part 1: functional search over a real (materialized) index,
+ *  served by a two-shard cluster. @return false on a bad page. */
+bool
+serveThroughCluster()
 {
-    using namespace wsearch;
-
-    // --- Part 1: functional search over a real (materialized) index.
     CorpusConfig cc;
     cc.numDocs = 5000;
     cc.vocabSize = 4000;
     cc.avgDocLen = 100;
     CorpusGenerator corpus(cc);
-    MaterializedIndex index(corpus);
-    std::printf("Built index: %u docs, %u terms, %s of postings\n",
-                index.numDocs(), index.numTerms(),
-                formatBytes(index.shardBytes()).c_str());
+    const ShardedIndex index = buildShardedIndex(corpus, 2);
+    uint64_t postings = 0;
+    for (uint32_t s = 0; s < index.numShards(); ++s)
+        postings += index.shard(s).shardBytes();
+    std::printf("Built index: %u docs in %u shards, %s of postings\n",
+                cc.numDocs, index.numShards(),
+                formatBytes(postings).c_str());
 
-    LeafServer::Config lc0, lc1;
-    lc0.numThreads = lc1.numThreads = 2;
-    lc0.docIdStride = lc1.docIdStride = 2;
-    lc1.docIdOffset = 1;
-    LeafServer leaf0(index, lc0), leaf1(index, lc1);
-    ServingTree tree({&leaf0, &leaf1}, 1024);
+    ClusterConfig ccfg;
+    ccfg.pool.numWorkers = 2;
+    ccfg.pool.cacheCapacity = 1024;
+    ccfg.deadlineNs = 0; // wait for every shard
+    ClusterServer cluster(index.shardPtrs(), ccfg);
 
     QueryGenerator::Config qc;
     qc.vocabSize = cc.vocabSize;
@@ -46,24 +57,52 @@ main()
     for (int i = 0; i < 2000; ++i) {
         SearchRequest req;
         req.query = queries.next();
-        tree.handle(i % 2, req);
+        cluster.handle(req);
     }
-    std::printf("Served %llu queries; cache hit rate %.1f%%; "
-                "leaf fan-outs %llu\n",
-                (unsigned long long)tree.stats().queries,
-                100.0 * tree.cache().hitRate(),
-                (unsigned long long)tree.stats().leafQueries);
+    const ClusterSnapshot snap = cluster.snapshot();
+    uint64_t cache_hits = 0;
+    for (const ShardSnapshot &s : snap.shards)
+        cache_hits += s.pool.cacheHits;
+    std::printf("Served %llu queries; %llu shard answers, %llu of "
+                "them from the cache tier\n",
+                (unsigned long long)snap.queries,
+                (unsigned long long)snap.shardAnswers,
+                (unsigned long long)cache_hits);
 
     const Query sample = queries.materialize(123);
     SearchRequest sample_req;
     sample_req.query = sample;
-    const auto results = tree.handle(0, sample_req).docs;
+    const std::vector<ScoredDoc> results =
+        cluster.handle(sample_req).page.docs;
     std::printf("Sample query %llu (%zu terms, %s): top hits ",
                 (unsigned long long)sample.id, sample.terms.size(),
                 sample.conjunctive ? "AND" : "OR");
     for (size_t i = 0; i < std::min<size_t>(3, results.size()); ++i)
         std::printf("doc%u(%.2f) ", results[i].doc, results[i].score);
     std::printf("\n\n");
+
+    std::unordered_set<DocId> seen;
+    for (const ScoredDoc &sd : results) {
+        if (sd.doc >= cc.numDocs || !seen.insert(sd.doc).second) {
+            std::fprintf(stderr, "bad sample page: doc%u is %s\n",
+                         sd.doc, sd.doc >= cc.numDocs
+                             ? "outside the corpus" : "repeated");
+            return false;
+        }
+    }
+    return true;
+}
+
+} // namespace
+} // namespace wsearch
+
+int
+main()
+{
+    using namespace wsearch;
+
+    if (!serveThroughCluster())
+        return 1;
 
     // --- Part 2: the instrumented engine as a trace source over a
     //     production-scale procedural shard, driven through the

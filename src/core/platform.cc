@@ -73,7 +73,6 @@ PlatformConfig::hierarchy(uint32_t cores, uint32_t smt_ways,
     h.llc = cache_gen_llc(l3Bytes, cacheBlockBytes, l3Ways,
                           ReplPolicy::LRU, InclusionMode::NINE,
                           /*slices=*/1, l3_partition_ways);
-    h.llc.latencyNs = l3HitNs; // documentation; timing uses core params
     return h;
 }
 

@@ -98,11 +98,14 @@ class SetAssocCache
      * @param evicted  set to the evicted block's byte address, or
      *                 kNoBlock; pass nullptr to ignore
      * @param evicted_dirty set when the evicted block was dirty
+     * @param was_prefetched set when the hit line was a prefetch no
+     *                 demand had used yet (prefetch-usefulness
+     *                 accounting); pass nullptr to ignore
      * @return true on hit
      */
     bool
     access(uint64_t addr, bool is_store, uint64_t *evicted = nullptr,
-           bool *evicted_dirty = nullptr)
+           bool *evicted_dirty = nullptr, bool *was_prefetched = nullptr)
     {
         const uint64_t block = addr >> blockShift_;
         const size_t base = setBase(block);
@@ -114,12 +117,17 @@ class SetAssocCache
                     rrpv_[base + w] = 0; // near re-reference on hit
                 if (is_store)
                     flags_[base + w] |= kDirty;
+                if (was_prefetched)
+                    *was_prefetched =
+                        (flags_[base + w] & kPrefetched) != 0;
                 flags_[base + w] &= ~kPrefetched;
                 if (evicted)
                     *evicted = kNoBlock;
                 return true;
             }
         }
+        if (was_prefetched)
+            *was_prefetched = false;
         fill(base, block, is_store, false, evicted, evicted_dirty);
         return false;
     }
@@ -178,35 +186,6 @@ class SetAssocCache
             }
         }
         fill(base, block, dirty, prefetched, evicted, evicted_dirty);
-    }
-
-    /**
-     * Demand access that reports whether the hit line was a previously
-     * unused prefetch (for prefetch-usefulness accounting).
-     */
-    bool
-    accessTrackPf(uint64_t addr, bool is_store, bool *was_prefetched,
-                  uint64_t *evicted = nullptr,
-                  bool *evicted_dirty = nullptr)
-    {
-        const uint64_t block = addr >> blockShift_;
-        const size_t base = setBase(block);
-        ++tick_;
-        for (uint32_t w = 0; w < effWays_; ++w) {
-            if (tags_[base + w] == block) {
-                stamps_[base + w] = tick_;
-                *was_prefetched = (flags_[base + w] & kPrefetched) != 0;
-                flags_[base + w] &= ~kPrefetched;
-                if (is_store)
-                    flags_[base + w] |= kDirty;
-                if (evicted)
-                    *evicted = kNoBlock;
-                return true;
-            }
-        }
-        *was_prefetched = false;
-        fill(base, block, is_store, false, evicted, evicted_dirty);
-        return false;
     }
 
     /** Remove a block if present; @return true when it was present. */

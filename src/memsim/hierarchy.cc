@@ -108,8 +108,8 @@ PrivateLevels::l2Lookup(SetAssocCache &l2, uint64_t addr, bool is_store,
     uint64_t evicted = kNoBlock;
     bool evicted_dirty = false;
     bool was_pf = false;
-    const bool l2_hit = l2.accessTrackPf(addr, is_store, &was_pf,
-                                         &evicted, &evicted_dirty);
+    const bool l2_hit =
+        l2.access(addr, is_store, &evicted, &evicted_dirty, &was_pf);
     l2_.record(kind, !l2_hit);
     if (was_pf)
         ++l2_.prefetchUseful;
@@ -170,7 +170,7 @@ PrivateLevels::data(uint32_t core, uint64_t pc, uint64_t addr,
         applyCoherence(core, addr, is_store);
     SetAssocCache &l1d = *l1d_c_[core];
     bool was_pf = false;
-    const bool hit = l1d.accessTrackPf(addr, is_store, &was_pf);
+    const bool hit = l1d.access(addr, is_store, nullptr, nullptr, &was_pf);
     l1d_.record(kind, !hit);
     if (was_pf)
         ++l1d_.prefetchUseful;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Composable cache-hierarchy specification. A hierarchy is assembled
- * from per-level CacheLevelSpec building blocks (size/ways/latency, a
+ * from per-level CacheLevelSpec building blocks (size/ways, a
  * pluggable ReplPolicy, an inclusion mode, optional slice-hash
  * dispatch for the LLC, and an optional fully-associative backend)
  * by cache_gen_* factories in the style of FlexiCAS's generator
@@ -61,7 +61,6 @@ struct CacheLevelSpec
     bool fullyAssociative = false;
     uint32_t slices = 1;     ///< address-hashed slice count (LLC)
     bool victimFill = false; ///< memory-side victim cache (paper L4)
-    double latencyNs = 0.0;  ///< hit latency hint for the AMAT models
 
     bool operator==(const CacheLevelSpec &) const = default;
 };

@@ -149,7 +149,6 @@ class LeafServer
      */
     PostingCodec shardCodec() const;
 
-    uint32_t numThreads() const { return cfg_.numThreads; }
     uint64_t queriesServed() const { return queriesServed_.load(); }
 
     const ExecStats &lastStats(uint32_t tid) const;

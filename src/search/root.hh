@@ -1,22 +1,18 @@
 /**
  * @file
- * Root aggregation and the serving tree (paper Figure 1): a query
- * enters at the front end, is filtered by the query-cache tier, fans
- * out to every leaf (each holding a disjoint shard partition), and
- * the root merges the per-leaf top-k into the final result page.
+ * Root aggregation for the serving tree (paper Figure 1): the root
+ * merges the per-leaf top-k of a query's fan-out into the final
+ * result page, tagged with how many shards answered. The fan-out
+ * itself, with the query-cache tier in front of each leaf, is
+ * ClusterServer (serve/cluster.hh).
  */
 
 #ifndef WSEARCH_SEARCH_ROOT_HH
 #define WSEARCH_SEARCH_ROOT_HH
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
-#include "search/cache_server.hh"
-#include "search/leaf.hh"
 #include "search/query.hh"
 
 namespace wsearch {
@@ -96,121 +92,6 @@ class RootServer
     mergeWithCoverage(const std::vector<std::vector<ScoredDoc>> &partials,
                       const std::vector<ShardOutcome> &outcomes,
                       uint32_t k);
-};
-
-/** The full serving system: cache tier + root + leaves. */
-class ServingTree
-{
-  public:
-    /** Plain counter snapshot (the atomics live in the tree). */
-    struct Stats
-    {
-        uint64_t queries = 0;
-        uint64_t cacheHits = 0;
-        uint64_t leafQueries = 0; ///< queries that reached the leaves
-    };
-
-    /**
-     * @param leaves non-owning; leaf i must serve partition i of the
-     *               global document space
-     * @param cache_capacity query-result cache entries (0 disables)
-     */
-    ServingTree(std::vector<LeafServer *> leaves, size_t cache_capacity);
-
-    /**
-     * Handle one request end-to-end on logical thread @p tid.
-     * Thread-safe for concurrent callers with distinct tids, each
-     * tid < every leaf's numThreads (LeafServer::serve's contract);
-     * the cache tier is mutex-guarded and the stats are atomic.
-     * Deadline/cancel propagate to every leaf; a degraded response
-     * (some leaf abandoned mid-query) is never cached.
-     * @return final merged results (served from cache when possible)
-     */
-    SearchResponse handle(uint32_t tid, const SearchRequest &req);
-
-    /** Consistent-enough counter snapshot, safe mid-traffic. */
-    Stats
-    stats() const
-    {
-        Stats s;
-        s.queries = queries_.load(std::memory_order_relaxed);
-        s.cacheHits = cacheHits_.load(std::memory_order_relaxed);
-        s.leafQueries = leafQueries_.load(std::memory_order_relaxed);
-        return s;
-    }
-
-    /** The cache tier; callers must not race with handle(). */
-    QueryCacheServer &cache() { return cache_; }
-
-  private:
-    std::vector<LeafServer *> leaves_;
-    mutable std::mutex cacheMu_;
-    QueryCacheServer cache_; ///< guarded by cacheMu_
-    std::atomic<uint64_t> queries_{0};
-    std::atomic<uint64_t> cacheHits_{0};
-    std::atomic<uint64_t> leafQueries_{0};
-};
-
-/**
- * Multi-level serving tree (paper Figure 1): the root fans out to
- * intermediate parents, each responsible for a group of leaves and
- * performing its own score/merge step before the root's final merge.
- */
-class MultiLevelTree
-{
-  public:
-    /** Plain counter snapshot (the atomics live in the tree). */
-    struct Stats
-    {
-        uint64_t queries = 0;
-        uint64_t cacheHits = 0;
-        uint64_t parentMerges = 0;
-        uint64_t leafQueries = 0;
-    };
-
-    /**
-     * @param leaves  non-owning, partitioned leaves
-     * @param fanout  leaves per intermediate parent (>= 1)
-     * @param cache_capacity front-end query cache entries (0 = none)
-     */
-    MultiLevelTree(std::vector<LeafServer *> leaves, uint32_t fanout,
-                   size_t cache_capacity);
-
-    /**
-     * Handle one request through cache -> parents -> root merge.
-     * Thread-safe under the same contract as ServingTree::handle;
-     * degraded responses are never cached.
-     */
-    SearchResponse handle(uint32_t tid, const SearchRequest &req);
-
-    /** Consistent-enough counter snapshot, safe mid-traffic. */
-    Stats
-    stats() const
-    {
-        Stats s;
-        s.queries = queries_.load(std::memory_order_relaxed);
-        s.cacheHits = cacheHits_.load(std::memory_order_relaxed);
-        s.parentMerges = parentMerges_.load(std::memory_order_relaxed);
-        s.leafQueries = leafQueries_.load(std::memory_order_relaxed);
-        return s;
-    }
-
-    uint32_t numParents() const
-    {
-        return static_cast<uint32_t>(groups_.size());
-    }
-
-    /** The cache tier; callers must not race with handle(). */
-    QueryCacheServer &cache() { return cache_; }
-
-  private:
-    std::vector<std::vector<LeafServer *>> groups_;
-    mutable std::mutex cacheMu_;
-    QueryCacheServer cache_; ///< guarded by cacheMu_
-    std::atomic<uint64_t> queries_{0};
-    std::atomic<uint64_t> cacheHits_{0};
-    std::atomic<uint64_t> parentMerges_{0};
-    std::atomic<uint64_t> leafQueries_{0};
 };
 
 } // namespace wsearch

@@ -1,14 +1,13 @@
 /**
  * @file
  * Lock-striped query-result cache tier: the contention-free front of
- * the serving hot path. The single QueryCacheServer + one cacheMu_
- * pair that used to serialize every admission is sharded into a
- * power-of-two array of independent segments, each its own LRU
- * QueryCacheServer behind its own mutex with its own hit-latency
- * histogram. A query id is hashed (splitmix64 mix) to exactly one
- * segment, so concurrent lookups of different queries take different
- * locks and never touch each other's LRU list; totals for
- * ServeSnapshot are summed over segments at snapshot time.
+ * the serving hot path. The tier is a power-of-two array of
+ * independent segments, each its own LRU QueryCacheServer behind its
+ * own mutex with its own hit-latency histogram. A query id is hashed
+ * (splitmix64 mix) to exactly one segment, so concurrent lookups of
+ * different queries take different locks and never touch each
+ * other's LRU list; totals for ServeSnapshot are summed over segments
+ * at snapshot time.
  *
  * Capacity is distributed evenly (capacity / N per segment, the first
  * capacity % N segments take one extra). A total capacity below the

@@ -10,7 +10,7 @@
  *    thread id of a shared LeafServer -- i.e. a per-thread
  *    QueryExecutor with tid-tagged scratch over one shared IndexShard,
  *    exactly the paper's SMT co-location model;
- *  - the query-result cache tier (ServingTree's front tier, here
+ *  - the query-result cache tier (the paper Figure 1 cache tier,
  *    lock-striped into hash-partitioned segments) sitting in front of
  *    the queue, so popular queries never occupy a worker;
  *  - per-worker latency histograms and throughput counters on

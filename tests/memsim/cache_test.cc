@@ -156,9 +156,9 @@ TEST(SetAssocCache, PrefetchedFlagReportedOnce)
     SetAssocCache c(smallCache());
     c.insert(0x5000, false, true); // prefetched line
     bool was_pf = false;
-    EXPECT_TRUE(c.accessTrackPf(0x5000, false, &was_pf));
+    EXPECT_TRUE(c.access(0x5000, false, nullptr, nullptr, &was_pf));
     EXPECT_TRUE(was_pf);
-    EXPECT_TRUE(c.accessTrackPf(0x5000, false, &was_pf));
+    EXPECT_TRUE(c.access(0x5000, false, nullptr, nullptr, &was_pf));
     EXPECT_FALSE(was_pf); // flag cleared by first demand hit
 }
 

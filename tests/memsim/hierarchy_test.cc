@@ -180,6 +180,42 @@ TEST(Hierarchy, L1iCountsMatchABareCacheForEveryPolicy)
     }
 }
 
+TEST(Hierarchy, L1dCountsMatchABareCacheForEveryPolicy)
+{
+    // Under every policy, the hierarchy's L1-D and L2 hit counts must
+    // equal those of bare caches fed the same accesses (the L2 sees
+    // exactly the L1-D misses). Two SMT threads share the core.
+    for (const ReplPolicy repl : {ReplPolicy::LRU, ReplPolicy::Random,
+                                  ReplPolicy::SRRIP, ReplPolicy::DRRIP}) {
+        SCOPED_TRACE(static_cast<int>(repl));
+        HierarchySpec cfg = tinyConfig();
+        cfg.smtWays = 2;
+        cfg.l1d.cache.repl = repl;
+        cfg.l2.cache = cfg.l1d.cache;
+        CacheHierarchy h(cfg);
+        SetAssocCache bare_l1d(cfg.l1d.cache), bare_l2(cfg.l2.cache);
+        uint64_t l1d_hits = 0, l2_hits = 0;
+        uint64_t x = 12345;
+        for (int i = 0; i < 20000; ++i) {
+            x = x * 6364136223846793005ull + 1442695040888963407ull;
+            // 24 blocks over 4 sets of 4 ways: steady conflict misses.
+            const uint64_t addr = 0x10000 + (x >> 59) % 24 * 64 +
+                (x >> 40) % 64;
+            const uint32_t tid = (x >> 20) % 2;
+            const bool is_store = (x >> 30) % 4 == 0;
+            h.accessData(tid, 0, addr, is_store, AccessKind::Heap);
+            if (bare_l1d.access(addr, is_store))
+                ++l1d_hits;
+            else if (bare_l2.access(addr, is_store))
+                ++l2_hits;
+        }
+        const CacheLevelStats &l1d = h.l1dStats();
+        EXPECT_EQ(l1d.totalAccesses() - l1d.totalMisses(), l1d_hits);
+        const CacheLevelStats &l2 = h.l2Stats();
+        EXPECT_EQ(l2.totalAccesses() - l2.totalMisses(), l2_hits);
+    }
+}
+
 TEST(Hierarchy, NonInclusiveKeepsL1OnL3Eviction)
 {
     HierarchySpec cfg = tinyConfig();

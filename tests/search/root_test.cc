@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "search/leaf.hh"
 #include "search/root.hh"
 
 namespace wsearch {
@@ -25,105 +26,6 @@ TEST(RootMerge, HandlesEmptyPartials)
     const auto merged = RootServer::merge(partials, 10);
     ASSERT_EQ(merged.size(), 1u);
     EXPECT_EQ(merged[0].doc, 1u);
-}
-
-/** Run @p q through the SearchRequest API, returning just the docs. */
-std::vector<ScoredDoc>
-treeRun(ServingTree &tree, uint32_t tid, const Query &q)
-{
-    SearchRequest req;
-    req.query = q;
-    return tree.handle(tid, req).docs;
-}
-
-struct TreeFixture
-{
-    TreeFixture()
-    {
-        CorpusConfig cc;
-        cc.numDocs = 300;
-        cc.vocabSize = 200;
-        cc.avgDocLen = 50;
-        corpus = std::make_unique<CorpusGenerator>(cc);
-        index = std::make_unique<MaterializedIndex>(*corpus);
-
-        LeafServer::Config lc;
-        lc.numThreads = 2;
-        // Two leaves over the same shard but with different doc-id
-        // mappings, standing in for disjoint partitions.
-        LeafServer::Config lc0 = lc, lc1 = lc;
-        lc0.docIdStride = 2;
-        lc0.docIdOffset = 0;
-        lc1.docIdStride = 2;
-        lc1.docIdOffset = 1;
-        leaf0 = std::make_unique<LeafServer>(*index, lc0);
-        leaf1 = std::make_unique<LeafServer>(*index, lc1);
-    }
-
-    std::unique_ptr<CorpusGenerator> corpus;
-    std::unique_ptr<MaterializedIndex> index;
-    std::unique_ptr<LeafServer> leaf0, leaf1;
-};
-
-TEST(ServingTree, FansOutAndMerges)
-{
-    TreeFixture f;
-    ServingTree tree({f.leaf0.get(), f.leaf1.get()}, 64);
-    Query q;
-    q.id = 42;
-    q.terms = {0, 1};
-    q.conjunctive = false;
-    q.topK = 10;
-    const auto r = treeRun(tree, 0, q);
-    EXPECT_FALSE(r.empty());
-    EXPECT_EQ(tree.stats().queries, 1u);
-    EXPECT_EQ(tree.stats().leafQueries, 2u);
-    // Results contain both even (leaf0) and odd (leaf1) global ids.
-    bool even = false, odd = false;
-    for (const auto &sd : r)
-        (sd.doc % 2 == 0 ? even : odd) = true;
-    EXPECT_TRUE(even);
-    EXPECT_TRUE(odd);
-}
-
-TEST(ServingTree, CacheAbsorbsRepeats)
-{
-    TreeFixture f;
-    ServingTree tree({f.leaf0.get(), f.leaf1.get()}, 64);
-    Query q;
-    q.id = 7;
-    q.terms = {0};
-    q.conjunctive = false;
-    const auto first = treeRun(tree, 0, q);
-    const auto second = treeRun(tree, 1, q);
-    EXPECT_EQ(tree.stats().queries, 2u);
-    EXPECT_EQ(tree.stats().cacheHits, 1u);
-    EXPECT_EQ(tree.stats().leafQueries, 2u); // only the first fan-out
-    ASSERT_EQ(first.size(), second.size());
-    for (size_t i = 0; i < first.size(); ++i)
-        EXPECT_EQ(first[i].doc, second[i].doc);
-}
-
-TEST(ServingTree, SingleLeafEqualsDirectServe)
-{
-    TreeFixture f;
-    LeafServer::Config plain;
-    plain.numThreads = 1;
-    LeafServer leaf(*f.index, plain);
-    LeafServer leaf_direct(*f.index, plain);
-    ServingTree tree({&leaf}, 0); // no cache
-    Query q;
-    q.id = 9;
-    q.terms = {2, 3};
-    q.conjunctive = false;
-    q.topK = 8;
-    const auto via_tree = treeRun(tree, 0, q);
-    SearchRequest req;
-    req.query = q;
-    const auto direct = leaf_direct.serve(0, req).docs;
-    ASSERT_EQ(via_tree.size(), direct.size());
-    for (size_t i = 0; i < direct.size(); ++i)
-        EXPECT_EQ(via_tree[i].doc, direct[i].doc);
 }
 
 TEST(LeafFootprint, SharedHeapDominatesAndScalesSubLinearly)

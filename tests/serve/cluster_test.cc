@@ -110,6 +110,42 @@ TEST(ClusterServer, FullCoverageMatchesSerialReference)
     EXPECT_EQ(snap.shardNs.count(), 240u);
 }
 
+TEST(ClusterServer, CachedPagesMatchSerialReference)
+{
+    // The shard pools' cache tiers answer Zipf repeats: a page merged
+    // from cached shard answers must equal the one computed afresh.
+    const CorpusGenerator corpus(testCorpusConfig());
+    const ShardedIndex si = buildShardedIndex(corpus, 4);
+
+    ClusterConfig cc;
+    cc.pool.numWorkers = 2;
+    cc.pool.cacheCapacity = 64;
+    cc.deadlineNs = 0;
+    ClusterServer cluster(si.shardPtrs(), cc);
+
+    QueryGenerator gen(testTraffic());
+    for (uint32_t i = 0; i < 100; ++i) {
+        const Query q = gen.next();
+        const ClusterResult res = cluster.handle(asRequest(q));
+        ASSERT_EQ(res.page.shardsAnswered, 4u) << "query " << i;
+        const std::vector<ScoredDoc> expected =
+            serialReference(si, q);
+        ASSERT_EQ(res.page.docs.size(), expected.size())
+            << "query " << i;
+        for (size_t r = 0; r < expected.size(); ++r) {
+            EXPECT_EQ(res.page.docs[r].doc, expected[r].doc)
+                << "query " << i << " rank " << r;
+            EXPECT_FLOAT_EQ(res.page.docs[r].score,
+                            expected[r].score)
+                << "query " << i << " rank " << r;
+        }
+    }
+    uint64_t cache_hits = 0;
+    for (const ShardSnapshot &ss : cluster.snapshot().shards)
+        cache_hits += ss.pool.cacheHits;
+    EXPECT_GT(cache_hits, 0u);
+}
+
 TEST(ClusterServer, TightDeadlineDegradesGracefully)
 {
     const CorpusGenerator corpus(testCorpusConfig());
