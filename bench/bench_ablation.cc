@@ -11,9 +11,9 @@
  *     (partitioning reduces associativity, adding conflicts).
  *  4. L3 replacement policy: LRU vs random vs SRRIP vs DRRIP.
  *
- * Emits BENCH_ablation.json through the standard frame: one rows[]
- * element per (study, variant) with the deterministic counters
- * bench_diff.py gates on.
+ * Emits BENCH_ablation.json (see bench::Artifact): one rows[] element
+ * per (study, variant) with the deterministic counters bench_diff.py
+ * gates on.
  */
 
 #include <cstdio>
@@ -44,23 +44,22 @@ runCfg(const WorkloadProfile &prof, SystemConfig cfg, uint64_t records)
 }
 
 void
-addRow(bench::JsonWriter &json, const char *study, const char *variant,
+addRow(bench::Artifact &art, const char *study, const char *variant,
        const SystemResult &r)
 {
-    json.beginObject();
-    json.add("study", std::string(study));
-    json.add("variant", std::string(variant));
-    json.add("instructions", r.instructions);
-    json.add("l3_misses", r.l3.totalMisses());
-    json.add("l4_accesses", r.l4.totalAccesses());
-    json.add("l4_misses", r.l4.totalMisses());
-    json.add("writebacks", r.writebacks);
-    json.add("back_invalidations", r.backInvalidations);
-    json.endObject();
+    art.row()
+        .key("study", study)
+        .key("variant", variant)
+        .counter("instructions", r.instructions)
+        .counter("l3_misses", r.l3.totalMisses())
+        .add("l4_accesses", r.l4.totalAccesses())
+        .counter("l4_misses", r.l4.totalMisses())
+        .add("writebacks", r.writebacks)
+        .counter("back_invalidations", r.backInvalidations);
 }
 
 void
-l4FillPolicy(const bench::Args &args, bench::JsonWriter &json)
+l4FillPolicy(const bench::Args &args, bench::Artifact &art)
 {
     std::printf("--- L4 fill policy (victim vs allocate-on-miss) ---\n");
     const WorkloadProfile prof = WorkloadProfile::s1LeafSweep();
@@ -81,7 +80,7 @@ l4FillPolicy(const bench::Args &args, bench::JsonWriter &json)
                   Table::fmtPct(r.l4.hitRateTotal(), 1),
                   Table::fmt(r.l3.mpkiTotal(i), 2),
                   Table::fmt(r.l4.mpkiTotal(i), 2)});
-        addRow(json, "l4_fill", victim ? "victim" : "on_miss", r);
+        addRow(art, "l4_fill", victim ? "victim" : "on_miss", r);
         std::fflush(stdout);
     }
     t.print();
@@ -89,7 +88,7 @@ l4FillPolicy(const bench::Args &args, bench::JsonWriter &json)
 }
 
 void
-inclusiveL3(const bench::Args &args, bench::JsonWriter &json)
+inclusiveL3(const bench::Args &args, bench::Artifact &art)
 {
     std::printf("--- Inclusive vs non-inclusive L3 ---\n");
     const WorkloadProfile prof = WorkloadProfile::s1Leaf();
@@ -110,7 +109,7 @@ inclusiveL3(const bench::Args &args, bench::JsonWriter &json)
                   Table::fmt(1000.0 * r.backInvalidations /
                                  static_cast<double>(i), 2),
                   Table::fmt(r.ipcPerThread, 3)});
-        addRow(json, "inclusion", inclusive ? "inclusive" : "nine", r);
+        addRow(art, "inclusion", inclusive ? "inclusive" : "nine", r);
         std::fflush(stdout);
     }
     t.print();
@@ -119,7 +118,7 @@ inclusiveL3(const bench::Args &args, bench::JsonWriter &json)
 }
 
 void
-catVsDedicated(const bench::Args &args, bench::JsonWriter &json)
+catVsDedicated(const bench::Args &args, bench::Artifact &art)
 {
     std::printf("--- CAT partition vs dedicated cache ---\n");
     const WorkloadProfile prof = WorkloadProfile::s1Leaf();
@@ -133,7 +132,7 @@ catVsDedicated(const bench::Args &args, bench::JsonWriter &json)
             runCfg(prof, cfg, budget(args, 16'000'000));
         t.addRow({"CAT 4/20 ways of 45 MiB", "9 MiB", "4",
                   Table::fmt(r.l3.mpkiTotal(r.instructions), 2)});
-        addRow(json, "cat", "partition_4_of_20", r);
+        addRow(art, "cat", "partition_4_of_20", r);
     }
     {
         SystemConfig cfg = plt1.system(prof, 16);
@@ -142,7 +141,7 @@ catVsDedicated(const bench::Args &args, bench::JsonWriter &json)
             runCfg(prof, cfg, budget(args, 16'000'000));
         t.addRow({"dedicated 9 MiB, 20-way", "9 MiB", "20",
                   Table::fmt(r.l3.mpkiTotal(r.instructions), 2)});
-        addRow(json, "cat", "dedicated_9mib", r);
+        addRow(art, "cat", "dedicated_9mib", r);
     }
     t.print();
     std::printf("CAT keeps the set count but cuts associativity, so "
@@ -151,7 +150,7 @@ catVsDedicated(const bench::Args &args, bench::JsonWriter &json)
 }
 
 void
-replacementPolicy(const bench::Args &args, bench::JsonWriter &json)
+replacementPolicy(const bench::Args &args, bench::Artifact &art)
 {
     std::printf("--- L3 replacement policy ---\n");
     const WorkloadProfile prof = WorkloadProfile::s1Leaf();
@@ -172,29 +171,25 @@ replacementPolicy(const bench::Args &args, bench::JsonWriter &json)
         t.addRow({name,
                   Table::fmt(r.l3.mpkiTotal(r.instructions), 2),
                   Table::fmtPct(r.l3.hitRateTotal(), 1)});
-        addRow(json, "replacement", name, r);
+        addRow(art, "replacement", name, r);
         std::fflush(stdout);
     }
     t.print();
 }
 
-void
+int
 runAblation(const bench::Args &args)
 {
-    const double t0 = bench::nowSec();
+    bench::Artifact art("ablation", args.smoke);
     bench::banner("Ablations",
                   "Design-choice sensitivity beyond the paper's own "
                   "bars");
-    bench::JsonWriter json;
-    bench::beginStandardJson(json, "ablation", args.smoke);
-    json.add("records_unit", budget(args, 16'000'000));
-    json.beginArray("rows");
-    l4FillPolicy(args, json);
-    inclusiveL3(args, json);
-    catVsDedicated(args, json);
-    replacementPolicy(args, json);
-    json.endArray();
-    bench::finishStandardJson(json, "ablation", t0);
+    art.config("records_unit", budget(args, 16'000'000));
+    l4FillPolicy(args, art);
+    inclusiveL3(args, art);
+    catVsDedicated(args, art);
+    replacementPolicy(args, art);
+    return art.finish();
 }
 
 } // namespace
@@ -203,6 +198,5 @@ runAblation(const bench::Args &args)
 int
 main(int argc, char **argv)
 {
-    wsearch::runAblation(wsearch::bench::parseArgs(argc, argv));
-    return 0;
+    return wsearch::runAblation(wsearch::bench::parseArgs(argc, argv));
 }

@@ -20,7 +20,7 @@
  *            clustered-vs-oracle section; this driver reuses the same
  *            plan machinery and records the bands for bench_diff.
  *
- * Emits BENCH_fig13.json in the standard frame for bench_all.sh
+ * Emits BENCH_fig13.json (see bench::Artifact) for bench_all.sh
  * aggregation and bench_diff.py gating.
  */
 
@@ -34,24 +34,23 @@ namespace wsearch {
 namespace {
 
 void
-addRow(bench::JsonWriter &json, const char *section, uint64_t sim_bytes,
+addRow(bench::Artifact &art, const char *section, uint64_t sim_bytes,
        uint64_t paper_eq_bytes, const SystemResult &r)
 {
-    json.beginObject();
-    json.add("section", std::string(section));
-    json.add("l4_sim_bytes", sim_bytes);
-    json.add("l4_paper_eq_bytes", paper_eq_bytes);
-    json.add("instructions", r.instructions);
-    json.add("l4_accesses", r.l4.totalAccesses());
-    json.add("l4_misses", r.l4.totalMisses());
-    json.add("heap_hit", r.l4.hitRate(AccessKind::Heap));
-    json.add("shard_hit", r.l4.hitRate(AccessKind::Shard));
-    json.add("sampled_windows", r.sampledWindows);
-    json.add("represented_windows", r.representedWindows);
-    json.add("band_lo", r.l3MissBandLo());
-    json.add("band_hi", r.l3MissBandHi());
-    json.add("band_rel", r.bandRelHalfWidth());
-    json.endObject();
+    art.row()
+        .key("section", section)
+        .key("l4_sim_bytes", sim_bytes)
+        .add("l4_paper_eq_bytes", paper_eq_bytes)
+        .counter("instructions", r.instructions)
+        .counter("l4_accesses", r.l4.totalAccesses())
+        .counter("l4_misses", r.l4.totalMisses())
+        .add("heap_hit", r.l4.hitRate(AccessKind::Heap))
+        .add("shard_hit", r.l4.hitRate(AccessKind::Shard))
+        .counter("sampled_windows", r.sampledWindows)
+        .counter("represented_windows", r.representedWindows)
+        .add("band_lo", r.l3MissBandLo())
+        .add("band_hi", r.l3MissBandHi())
+        .add("band_rel", r.bandRelHalfWidth());
 }
 
 void
@@ -92,10 +91,10 @@ printTable(const WorkloadProfile &prof,
     t.print();
 }
 
-void
+int
 runFig13(const bench::Args &args)
 {
-    const double t0 = bench::nowSec();
+    bench::Artifact art("fig13", args.smoke);
     bench::banner("Figure 13",
                   "L4 capacity sweep (direct-mapped victim cache; "
                   "1/32-scale ladder + clustered nominal-scale sweep)",
@@ -104,10 +103,7 @@ runFig13(const bench::Args &args)
     const PlatformConfig plt1 = PlatformConfig::plt1();
     const uint64_t l3_sim = (23 * MiB) / prof.sweepScale;
 
-    bench::JsonWriter json;
-    bench::beginStandardJson(json, "fig13", args.smoke);
-    json.add("cores", static_cast<uint64_t>(16));
-    json.add("l3_sim_bytes", l3_sim);
+    art.config("cores", 16).config("l3_sim_bytes", l3_sim);
 
     // --- scaled: the established 1/32-scale ladder, exact replay ---
     std::vector<uint64_t> sizes;
@@ -119,8 +115,8 @@ runFig13(const bench::Args &args)
         sizes.push_back(sim);
         options.push_back(opt);
     }
-    json.add("scaled_measure_records", recordBudget(options[0]).measure);
-    json.add("scaled_warmup_records", recordBudget(options[0]).warmup);
+    art.config("scaled_measure_records", recordBudget(options[0]).measure)
+        .config("scaled_warmup_records", recordBudget(options[0]).warmup);
     const std::vector<SystemResult> results = runWorkloadSweep(
         prof, plt1, options,
         bench::sweepControl(args, recordBudget(options[0]).total()));
@@ -150,14 +146,12 @@ runFig13(const bench::Args &args)
     const RecordBudget nom_budget = recordBudget(nom_options[0]);
     const SweepControl nom_control =
         bench::clusteredControl(args, nom_budget.total());
-    json.add("nominal_measure_records", nom_budget.measure);
-    json.add("nominal_warmup_records", nom_budget.warmup);
-    json.add("sampling_policy",
-             std::string(samplingPolicyName(nom_control.policy)));
-    json.add("sample_window_records", nom_control.rep.windowRecords);
-    json.add("sample_clusters",
-             static_cast<uint64_t>(nom_control.rep.sampleWindows));
-    json.add("sample_seed", sampleSeed(nom_control.rep.seed));
+    art.config("nominal_measure_records", nom_budget.measure)
+        .config("nominal_warmup_records", nom_budget.warmup)
+        .config("sampling_policy", samplingPolicyName(nom_control.policy))
+        .config("sample_window_records", nom_control.rep.windowRecords)
+        .config("sample_clusters", nom_control.rep.sampleWindows)
+        .config("sample_seed", sampleSeed(nom_control.rep.seed));
 
     std::printf("Nominal-scale sweep (%s sampling; 23 MiB L3, paper "
                 "working sets: %s heap tail, %s shard span)\n",
@@ -169,16 +163,13 @@ runFig13(const bench::Args &args)
     printTable(nominal, nom_sizes, nom_results, true);
     std::printf("\n");
 
-    json.beginArray("rows");
     for (size_t i = 0; i < sizes.size(); ++i)
-        addRow(json, "scaled", sizes[i], sizes[i] * prof.sweepScale,
+        addRow(art, "scaled", sizes[i], sizes[i] * prof.sweepScale,
                results[i]);
     for (size_t i = 0; i < nom_sizes.size(); ++i)
-        addRow(json, "nominal", nom_sizes[i], nom_sizes[i],
+        addRow(art, "nominal", nom_sizes[i], nom_sizes[i],
                nom_results[i]);
-    json.endArray();
-
-    bench::finishStandardJson(json, "fig13", t0);
+    return art.finish();
 }
 
 } // namespace
@@ -187,6 +178,5 @@ runFig13(const bench::Args &args)
 int
 main(int argc, char **argv)
 {
-    wsearch::runFig13(wsearch::bench::parseArgs(argc, argv));
-    return 0;
+    return wsearch::runFig13(wsearch::bench::parseArgs(argc, argv));
 }

@@ -28,11 +28,6 @@ runFig6a(const bench::Args &args)
                              args, recordBudget(opt).total()))
             .front();
     const uint64_t instr = r.instructions;
-    const CacheLevelStats l1 = [&] {
-        CacheLevelStats s = r.l1i;
-        s += r.l1d;
-        return s;
-    }();
 
     Table t({"Level", "Code MPKI", "Heap MPKI", "Shard MPKI",
              "Stack MPKI", "Total MPKI"});
@@ -43,7 +38,7 @@ runFig6a(const bench::Args &args)
                   Table::fmt(s.mpki(AccessKind::Stack, instr), 2),
                   Table::fmt(s.mpkiTotal(instr), 2)});
     };
-    row("L1", l1);
+    row("L1", r.l1());
     row("L2", r.l2);
     row("L3", r.l3);
     t.print();

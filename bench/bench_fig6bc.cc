@@ -9,8 +9,9 @@
  *   gate     clustered representative sampling validated against the
  *            full-replay oracle on the 1/32-scale trace: the oracle's
  *            LLC miss count must land inside the clustered estimate's
- *            own reported 95% band (the driver EXITS NONZERO on a
- *            violation, which is what CI runs), with uniform
+ *            own reported 95% band (a violation fails the
+ *            band_violations check, so the driver EXITS NONZERO,
+ *            which is what CI runs), with uniform
  *            sampling's error recorded at the same simulated-record
  *            budget.
  *   nominal  the sweep at FULL NOMINAL working-set sizes
@@ -20,9 +21,8 @@
  *            ~1/4 of each trace is simulated (12 of 96 windows plus
  *            their warmup) and every row carries its confidence band.
  *
- * Emits BENCH_fig6bc.json in the standard frame (see bench::
- * beginStandardJson) for bench_all.sh aggregation and bench_diff.py
- * gating.
+ * Emits BENCH_fig6bc.json (see bench::Artifact) for bench_all.sh
+ * aggregation and bench_diff.py gating.
  */
 
 #include <cmath>
@@ -37,26 +37,25 @@ namespace wsearch {
 namespace {
 
 void
-addSweepRow(bench::JsonWriter &json, const char *section,
+addSweepRow(bench::Artifact &art, const char *section,
             uint64_t sim_bytes, uint64_t paper_eq_bytes,
             const SystemResult &r)
 {
-    json.beginObject();
-    json.add("section", std::string(section));
-    json.add("l3_sim_bytes", sim_bytes);
-    json.add("l3_paper_eq_bytes", paper_eq_bytes);
-    json.add("instructions", r.instructions);
-    json.add("l3_accesses", r.l3.totalAccesses());
-    json.add("l3_misses", r.l3.totalMisses());
-    json.add("code_hit", r.l3.hitRate(AccessKind::Code));
-    json.add("heap_hit", r.l3.hitRate(AccessKind::Heap));
-    json.add("shard_hit", r.l3.hitRate(AccessKind::Shard));
-    json.add("sampled_windows", r.sampledWindows);
-    json.add("represented_windows", r.representedWindows);
-    json.add("band_lo", r.l3MissBandLo());
-    json.add("band_hi", r.l3MissBandHi());
-    json.add("band_rel", r.bandRelHalfWidth());
-    json.endObject();
+    art.row()
+        .key("section", section)
+        .key("l3_sim_bytes", sim_bytes)
+        .add("l3_paper_eq_bytes", paper_eq_bytes)
+        .counter("instructions", r.instructions)
+        .counter("l3_accesses", r.l3.totalAccesses())
+        .counter("l3_misses", r.l3.totalMisses())
+        .add("code_hit", r.l3.hitRate(AccessKind::Code))
+        .add("heap_hit", r.l3.hitRate(AccessKind::Heap))
+        .add("shard_hit", r.l3.hitRate(AccessKind::Shard))
+        .counter("sampled_windows", r.sampledWindows)
+        .counter("represented_windows", r.representedWindows)
+        .add("band_lo", r.l3MissBandLo())
+        .add("band_hi", r.l3MissBandHi())
+        .add("band_rel", r.bandRelHalfWidth());
 }
 
 void
@@ -95,12 +94,11 @@ printSweepTable(const WorkloadProfile &prof,
 /**
  * The clustered-vs-oracle gate: full contiguous replay vs planned
  * clustered and uniform replays of the same trace span, on one
- * 1/32-scale configuration. Returns the number of band violations
- * (the driver's exit status).
+ * 1/32-scale configuration, recorded with the band_violations check.
  */
-int
+void
 runGate(const WorkloadProfile &prof, const PlatformConfig &plt1,
-        bench::JsonWriter &json)
+        bench::Artifact &art)
 {
     RunOptions opt;
     opt.cores = 16;
@@ -140,7 +138,7 @@ runGate(const WorkloadProfile &prof, const PlatformConfig &plt1,
         std::abs(static_cast<double>(clustered.l3.totalMisses()) - o);
     const double uerr =
         std::abs(static_cast<double>(uniform.l3.totalMisses()) - o);
-    const int violations =
+    const uint64_t violations =
         (o < clustered.l3MissBandLo() || o > clustered.l3MissBandHi())
             ? 1 : 0;
 
@@ -163,25 +161,24 @@ runGate(const WorkloadProfile &prof, const PlatformConfig &plt1,
                 cerr, uerr,
                 violations ? "OUTSIDE (GATE FAILURE)" : "inside");
 
-    json.add("gate_records", total);
-    json.add("gate_oracle_l3_misses", oracle.l3.totalMisses());
-    json.add("gate_clustered_l3_misses", clustered.l3.totalMisses());
-    json.add("gate_uniform_l3_misses", uniform.l3.totalMisses());
-    json.add("gate_band_lo", clustered.l3MissBandLo());
-    json.add("gate_band_hi", clustered.l3MissBandHi());
-    json.add("gate_clustered_abs_err", cerr);
-    json.add("gate_uniform_abs_err", uerr);
-    json.add("gate_simulated_fraction", cplan.simulatedFraction());
-    json.add("gate_oracle_sec", oracle_sec);
-    json.add("gate_clustered_sec", clustered_sec);
-    json.add("band_violations", static_cast<uint64_t>(violations));
-    return violations;
+    art.config("gate_records", total)
+        .counter("gate_oracle_l3_misses", oracle.l3.totalMisses())
+        .counter("gate_clustered_l3_misses", clustered.l3.totalMisses())
+        .counter("gate_uniform_l3_misses", uniform.l3.totalMisses())
+        .add("gate_band_lo", clustered.l3MissBandLo())
+        .add("gate_band_hi", clustered.l3MissBandHi())
+        .add("gate_clustered_abs_err", cerr)
+        .add("gate_uniform_abs_err", uerr)
+        .add("gate_simulated_fraction", cplan.simulatedFraction())
+        .add("gate_oracle_sec", oracle_sec)
+        .add("gate_clustered_sec", clustered_sec)
+        .check("band_violations", violations);
 }
 
 int
 runFig6bc(const bench::Args &args)
 {
-    const double t0 = bench::nowSec();
+    bench::Artifact art("fig6bc", args.smoke);
     bench::banner("Figure 6b/6c",
                   "L3 hit-rate and MPKI vs capacity, by access type "
                   "(1/32-scale ladder + clustered nominal-scale "
@@ -190,9 +187,7 @@ runFig6bc(const bench::Args &args)
     const WorkloadProfile prof = WorkloadProfile::s1LeafCapacitySweep();
     const PlatformConfig plt1 = PlatformConfig::plt1();
 
-    bench::JsonWriter json;
-    bench::beginStandardJson(json, "fig6bc", args.smoke);
-    json.add("cores", static_cast<uint64_t>(16));
+    art.config("cores", 16);
 
     // --- scaled: the established 1/32-scale ladder, exact replay ---
     std::vector<uint64_t> sizes;
@@ -204,8 +199,8 @@ runFig6bc(const bench::Args &args)
         sizes.push_back(sim);
         options.push_back(opt);
     }
-    json.add("scaled_measure_records", recordBudget(options[0]).measure);
-    json.add("scaled_warmup_records", recordBudget(options[0]).warmup);
+    art.config("scaled_measure_records", recordBudget(options[0]).measure)
+        .config("scaled_warmup_records", recordBudget(options[0]).warmup);
     const std::vector<SystemResult> results = runWorkloadSweep(
         prof, plt1, options,
         bench::sweepControl(args, recordBudget(options[0]).total()));
@@ -217,7 +212,7 @@ runFig6bc(const bench::Args &args)
                 "data-access rate; compare shapes, not absolutes.\n\n");
 
     // --- gate: clustered sampling vs the full-replay oracle ---
-    const int violations = runGate(prof, plt1, json);
+    runGate(prof, plt1, art);
 
     // --- nominal: full paper-scale working sets under clustered
     //     sampling (this is the section representative sampling
@@ -240,14 +235,12 @@ runFig6bc(const bench::Args &args)
     const RecordBudget nom_budget = recordBudget(nom_options[0]);
     const SweepControl nom_control =
         bench::clusteredControl(args, nom_budget.total());
-    json.add("nominal_measure_records", nom_budget.measure);
-    json.add("nominal_warmup_records", nom_budget.warmup);
-    json.add("sampling_policy",
-             std::string(samplingPolicyName(nom_control.policy)));
-    json.add("sample_window_records", nom_control.rep.windowRecords);
-    json.add("sample_clusters",
-             static_cast<uint64_t>(nom_control.rep.sampleWindows));
-    json.add("sample_seed", sampleSeed(nom_control.rep.seed));
+    art.config("nominal_measure_records", nom_budget.measure)
+        .config("nominal_warmup_records", nom_budget.warmup)
+        .config("sampling_policy", samplingPolicyName(nom_control.policy))
+        .config("sample_window_records", nom_control.rep.windowRecords)
+        .config("sample_clusters", nom_control.rep.sampleWindows)
+        .config("sample_seed", sampleSeed(nom_control.rep.seed));
 
     std::printf("Nominal-scale sweep (%s sampling; full paper "
                 "working sets: %s heap tail, %s shard span)\n",
@@ -259,17 +252,13 @@ runFig6bc(const bench::Args &args)
     printSweepTable(nominal, nom_sizes, nom_results, true);
     std::printf("\n");
 
-    json.beginArray("rows");
     for (size_t i = 0; i < sizes.size(); ++i)
-        addSweepRow(json, "scaled", sizes[i],
+        addSweepRow(art, "scaled", sizes[i],
                     sizes[i] * prof.sweepScale, results[i]);
     for (size_t i = 0; i < nom_sizes.size(); ++i)
-        addSweepRow(json, "nominal", nom_sizes[i], nom_sizes[i],
+        addSweepRow(art, "nominal", nom_sizes[i], nom_sizes[i],
                     nom_results[i]);
-    json.endArray();
-
-    bench::finishStandardJson(json, "fig6bc", t0);
-    return violations;
+    return art.finish();
 }
 
 } // namespace

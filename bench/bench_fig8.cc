@@ -14,9 +14,8 @@
  *            working-set sizes under clustered representative
  *            sampling; every row carries its confidence band.
  *
- * Emits BENCH_fig8.json in the standard frame (see
- * bench::beginStandardJson) for bench_all.sh aggregation and
- * bench_diff.py gating.
+ * Emits BENCH_fig8.json (see bench::Artifact) for bench_all.sh
+ * aggregation and bench_diff.py gating.
  */
 
 #include <cstdio>
@@ -31,25 +30,24 @@ namespace wsearch {
 namespace {
 
 void
-addWayRow(bench::JsonWriter &json, const char *section, uint32_t ways,
+addWayRow(bench::Artifact &art, const char *section, uint32_t ways,
           uint64_t sim_bytes, const SystemResult &r)
 {
-    json.beginObject();
-    json.add("section", std::string(section));
-    json.add("ways", static_cast<uint64_t>(ways));
-    json.add("l3_sim_bytes", sim_bytes);
-    json.add("instructions", r.instructions);
-    json.add("l3_accesses", r.l3.totalAccesses());
-    json.add("l3_misses", r.l3.totalMisses());
-    json.add("data_hit", r.l3DataHitRate());
-    json.add("amat_ns", r.amatL3Ns);
-    json.add("ipc", r.ipcPerThread);
-    json.add("sampled_windows", r.sampledWindows);
-    json.add("represented_windows", r.representedWindows);
-    json.add("band_lo", r.l3MissBandLo());
-    json.add("band_hi", r.l3MissBandHi());
-    json.add("band_rel", r.bandRelHalfWidth());
-    json.endObject();
+    art.row()
+        .key("section", section)
+        .key("ways", ways)
+        .add("l3_sim_bytes", sim_bytes)
+        .counter("instructions", r.instructions)
+        .counter("l3_accesses", r.l3.totalAccesses())
+        .counter("l3_misses", r.l3.totalMisses())
+        .add("data_hit", r.l3DataHitRate())
+        .add("amat_ns", r.amatL3Ns)
+        .add("ipc", r.ipcPerThread)
+        .counter("sampled_windows", r.sampledWindows)
+        .counter("represented_windows", r.representedWindows)
+        .add("band_lo", r.l3MissBandLo())
+        .add("band_hi", r.l3MissBandHi())
+        .add("band_rel", r.bandRelHalfWidth());
 }
 
 void
@@ -82,10 +80,10 @@ printWayTable(const PlatformConfig &plt1,
     t.print();
 }
 
-void
+int
 runFig8(const bench::Args &args)
 {
-    const double t0 = bench::nowSec();
+    bench::Artifact art("fig8", args.smoke);
     bench::banner("Figure 8",
                   "IPC vs L3 hit rate / AMAT via CAT partitioning "
                   "(1/32-scale ladder + clustered nominal-scale "
@@ -98,9 +96,7 @@ runFig8(const bench::Args &args)
     const WorkloadProfile prof = WorkloadProfile::s1LeafSweep();
     const uint32_t scale = prof.sweepScale;
 
-    bench::JsonWriter json;
-    bench::beginStandardJson(json, "fig8", args.smoke);
-    json.add("cores", static_cast<uint64_t>(16));
+    art.config("cores", 16);
 
     // --- scaled: the CAT ladder at 1/32 scale, exact replay ---
     std::vector<uint32_t> way_counts;
@@ -112,8 +108,8 @@ runFig8(const bench::Args &args)
         way_counts.push_back(ways);
         options.push_back(opt);
     }
-    json.add("scaled_measure_records", recordBudget(options[0]).measure);
-    json.add("scaled_warmup_records", recordBudget(options[0]).warmup);
+    art.config("scaled_measure_records", recordBudget(options[0]).measure)
+        .config("scaled_warmup_records", recordBudget(options[0]).warmup);
     const std::vector<SystemResult> results = runWorkloadSweep(
         prof, plt1, options,
         bench::sweepControl(args, recordBudget(options[0]).total()));
@@ -133,9 +129,9 @@ runFig8(const bench::Args &args)
     std::printf("The strong linear fit (r^2 ~ 1) reproduces the "
                 "paper's low-MLP conclusion; slope magnitude depends "
                 "on the calibrated exposure factors.\n\n");
-    json.add("fit_slope", fitted.slope);
-    json.add("fit_intercept", fitted.intercept);
-    json.add("fit_r2", quality.r2);
+    art.add("fit_slope", fitted.slope)
+        .add("fit_intercept", fitted.intercept)
+        .add("fit_r2", quality.r2);
 
     // --- nominal: a ways subset on the REAL 45 MiB L3 at full
     //     paper-scale working sets under clustered sampling ---
@@ -155,14 +151,12 @@ runFig8(const bench::Args &args)
     const RecordBudget nom_budget = recordBudget(nom_options[0]);
     const SweepControl nom_control =
         bench::clusteredControl(args, nom_budget.total());
-    json.add("nominal_measure_records", nom_budget.measure);
-    json.add("nominal_warmup_records", nom_budget.warmup);
-    json.add("sampling_policy",
-             std::string(samplingPolicyName(nom_control.policy)));
-    json.add("sample_window_records", nom_control.rep.windowRecords);
-    json.add("sample_clusters",
-             static_cast<uint64_t>(nom_control.rep.sampleWindows));
-    json.add("sample_seed", sampleSeed(nom_control.rep.seed));
+    art.config("nominal_measure_records", nom_budget.measure)
+        .config("nominal_warmup_records", nom_budget.warmup)
+        .config("sampling_policy", samplingPolicyName(nom_control.policy))
+        .config("sample_window_records", nom_control.rep.windowRecords)
+        .config("sample_clusters", nom_control.rep.sampleWindows)
+        .config("sample_seed", sampleSeed(nom_control.rep.seed));
 
     std::printf("Nominal-scale points (%s sampling; full 45 MiB L3, "
                 "%s heap tail, %s shard span)\n",
@@ -173,16 +167,13 @@ runFig8(const bench::Args &args)
         runWorkloadSweep(nominal, plt1, nom_options, nom_control);
     printWayTable(plt1, nom_ways, nom_results, true);
 
-    json.beginArray("rows");
     for (size_t i = 0; i < way_counts.size(); ++i)
-        addWayRow(json, "scaled", way_counts[i],
-                  plt1.l3Bytes / scale, results[i]);
+        addWayRow(art, "scaled", way_counts[i], plt1.l3Bytes / scale,
+                  results[i]);
     for (size_t i = 0; i < nom_ways.size(); ++i)
-        addWayRow(json, "nominal", nom_ways[i], plt1.l3Bytes,
+        addWayRow(art, "nominal", nom_ways[i], plt1.l3Bytes,
                   nom_results[i]);
-    json.endArray();
-
-    bench::finishStandardJson(json, "fig8", t0);
+    return art.finish();
 }
 
 } // namespace
@@ -191,6 +182,5 @@ runFig8(const bench::Args &args)
 int
 main(int argc, char **argv)
 {
-    wsearch::runFig8(wsearch::bench::parseArgs(argc, argv));
-    return 0;
+    return wsearch::runFig8(wsearch::bench::parseArgs(argc, argv));
 }

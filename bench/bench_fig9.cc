@@ -18,9 +18,8 @@
  *            the REAL 45 MiB L3 at full nominal working-set sizes
  *            under clustered representative sampling, bands attached.
  *
- * Emits BENCH_fig9.json in the standard frame (see
- * bench::beginStandardJson) for bench_all.sh aggregation and
- * bench_diff.py gating.
+ * Emits BENCH_fig9.json (see bench::Artifact) for bench_all.sh
+ * aggregation and bench_diff.py gating.
  */
 
 #include <cstdio>
@@ -40,30 +39,29 @@ struct Point
 };
 
 void
-addGridRow(bench::JsonWriter &json, const char *section,
-           const Point &p, uint64_t sim_bytes, const SystemResult &r)
+addGridRow(bench::Artifact &art, const char *section, const Point &p,
+           uint64_t sim_bytes, const SystemResult &r)
 {
-    json.beginObject();
-    json.add("section", std::string(section));
-    json.add("cores", static_cast<uint64_t>(p.cores));
-    json.add("ways", static_cast<uint64_t>(p.ways));
-    json.add("l3_sim_bytes", sim_bytes);
-    json.add("instructions", r.instructions);
-    json.add("l3_accesses", r.l3.totalAccesses());
-    json.add("l3_misses", r.l3.totalMisses());
-    json.add("ipc", r.ipcPerThread);
-    json.add("sampled_windows", r.sampledWindows);
-    json.add("represented_windows", r.representedWindows);
-    json.add("band_lo", r.l3MissBandLo());
-    json.add("band_hi", r.l3MissBandHi());
-    json.add("band_rel", r.bandRelHalfWidth());
-    json.endObject();
+    art.row()
+        .key("section", section)
+        .key("cores", p.cores)
+        .key("ways", p.ways)
+        .add("l3_sim_bytes", sim_bytes)
+        .counter("instructions", r.instructions)
+        .counter("l3_accesses", r.l3.totalAccesses())
+        .counter("l3_misses", r.l3.totalMisses())
+        .add("ipc", r.ipcPerThread)
+        .counter("sampled_windows", r.sampledWindows)
+        .counter("represented_windows", r.representedWindows)
+        .add("band_lo", r.l3MissBandLo())
+        .add("band_hi", r.l3MissBandHi())
+        .add("band_rel", r.bandRelHalfWidth());
 }
 
-void
+int
 runFig9(const bench::Args &args)
 {
-    const double t0 = bench::nowSec();
+    bench::Artifact art("fig9", args.smoke);
     bench::banner("Figure 9",
                   "QPS vs L3-equivalent area (cores x CAT ways; "
                   "1/32-scale grid + clustered nominal-scale "
@@ -72,9 +70,6 @@ runFig9(const bench::Args &args)
     const PlatformConfig plt1 = PlatformConfig::plt1();
     const WorkloadProfile prof = WorkloadProfile::s1LeafSweep();
     const AreaModel area;
-
-    bench::JsonWriter json;
-    bench::beginStandardJson(json, "fig9", args.smoke);
 
     // --- scaled: the full grid at 1/32 scale, exact replay ---
     const uint32_t core_counts[] = {4, 6, 8, 9, 10, 11, 12, 14, 16, 18};
@@ -90,8 +85,8 @@ runFig9(const bench::Args &args)
             options.push_back(opt);
         }
     }
-    json.add("scaled_measure_records", recordBudget(options[0]).measure);
-    json.add("scaled_warmup_records", recordBudget(options[0]).warmup);
+    art.config("scaled_measure_records", recordBudget(options[0]).measure)
+        .config("scaled_warmup_records", recordBudget(options[0]).warmup);
     const std::vector<SystemResult> results = runWorkloadSweep(
         prof, plt1, options,
         bench::sweepControl(args, recordBudget(options[0]).total()));
@@ -150,14 +145,12 @@ runFig9(const bench::Args &args)
     const RecordBudget nom_budget = recordBudget(nom_options[0]);
     const SweepControl nom_control =
         bench::clusteredControl(args, nom_budget.total());
-    json.add("nominal_measure_records", nom_budget.measure);
-    json.add("nominal_warmup_records", nom_budget.warmup);
-    json.add("sampling_policy",
-             std::string(samplingPolicyName(nom_control.policy)));
-    json.add("sample_window_records", nom_control.rep.windowRecords);
-    json.add("sample_clusters",
-             static_cast<uint64_t>(nom_control.rep.sampleWindows));
-    json.add("sample_seed", sampleSeed(nom_control.rep.seed));
+    art.config("nominal_measure_records", nom_budget.measure)
+        .config("nominal_warmup_records", nom_budget.warmup)
+        .config("sampling_policy", samplingPolicyName(nom_control.policy))
+        .config("sample_window_records", nom_control.rep.windowRecords)
+        .config("sample_clusters", nom_control.rep.sampleWindows)
+        .config("sample_seed", sampleSeed(nom_control.rep.seed));
 
     std::printf("Nominal-scale equal-area points (%s sampling; full "
                 "45 MiB L3)\n",
@@ -184,16 +177,13 @@ runFig9(const bench::Args &args)
     }
     nt.print();
 
-    json.beginArray("rows");
     for (size_t i = 0; i < points.size(); ++i)
-        addGridRow(json, "scaled", points[i],
+        addGridRow(art, "scaled", points[i],
                    plt1.l3Bytes / prof.sweepScale, results[i]);
     for (size_t i = 0; i < nom_points.size(); ++i)
-        addGridRow(json, "nominal", nom_points[i], plt1.l3Bytes,
+        addGridRow(art, "nominal", nom_points[i], plt1.l3Bytes,
                    nom_results[i]);
-    json.endArray();
-
-    bench::finishStandardJson(json, "fig9", t0);
+    return art.finish();
 }
 
 } // namespace
@@ -202,6 +192,5 @@ runFig9(const bench::Args &args)
 int
 main(int argc, char **argv)
 {
-    wsearch::runFig9(wsearch::bench::parseArgs(argc, argv));
-    return 0;
+    return wsearch::runFig9(wsearch::bench::parseArgs(argc, argv));
 }

@@ -116,7 +116,7 @@ runQueries(const LiveIndex &idx, uint64_t max_q, uint64_t rng_seed,
 int
 runBenchIngest(bool smoke)
 {
-    const double t0 = bench::nowSec();
+    bench::Artifact art("ingest", smoke);
     const uint32_t num_docs = smoke ? 20'000 : 200'000;
     const uint64_t num_queries = smoke ? 2'000 : 20'000;
     std::printf("# bench_ingest: %u docs, %u terms/doc%s\n", num_docs,
@@ -179,37 +179,31 @@ runBenchIngest(bool smoke)
                 static_cast<unsigned long long>(stats.mergesCrashed),
                 static_cast<unsigned long long>(stats.version));
 
-    bench::JsonWriter json;
-    bench::beginStandardJson(json, "ingest", smoke);
-    json.add("docs", static_cast<uint64_t>(num_docs));
-    json.add("terms_per_doc", static_cast<uint64_t>(kTermsPerDoc));
-    json.add("commit_batch", static_cast<uint64_t>(kCommitBatch));
-    json.add("ingest_docs_per_sec", ingest.docsPerSec);
-    json.add("ingest_wall_sec", ingest.wallSec);
-    json.add("query_only_qps", quiet.qps);
-    json.add("query_only_p50_us", quiet.p50Us);
-    json.add("query_only_p99_us", quiet.p99Us);
-    json.add("mixed_docs_per_sec", mixed_ingest.docsPerSec);
-    json.add("mixed_qps", mixed.qps);
-    json.add("mixed_p50_us", mixed.p50Us);
-    json.add("mixed_p99_us", mixed.p99Us);
-    json.add("mixed_queries", mixed.queries);
-    json.add("live_docs", stats.liveDocs);
-    json.add("segments", static_cast<uint64_t>(stats.segments));
-    json.add("merges", stats.merges);
-    json.add("final_version", stats.version);
-    bench::finishStandardJson(json, "ingest", t0);
-
-    // The acceptance floor: sustained ingest of 10k docs/s. The
-    // in-memory buffer acks orders of magnitude faster; a miss here
+    // Background merges race the writer, so segment and merge counts
+    // legitimately vary from run to run; only the doc ledger is
+    // deterministic. The ingest floor is 10k docs/s sustained: the
+    // in-memory buffer acks orders of magnitude faster, so a miss
     // means an accidental O(n^2) crept into commit or publish.
-    if (ingest.docsPerSec < 10'000.0) {
-        std::printf("\nFAIL: ingest %.0f docs/s below the 10k "
-                    "floor\n",
-                    ingest.docsPerSec);
-        return 1;
-    }
-    return 0;
+    art.config("docs", num_docs)
+        .config("terms_per_doc", kTermsPerDoc)
+        .config("commit_batch", kCommitBatch)
+        .add("ingest_docs_per_sec", ingest.docsPerSec)
+        .add("ingest_wall_sec", ingest.wallSec)
+        .add("query_only_qps", quiet.qps)
+        .add("query_only_p50_us", quiet.p50Us)
+        .add("query_only_p99_us", quiet.p99Us)
+        .add("mixed_docs_per_sec", mixed_ingest.docsPerSec)
+        .add("mixed_qps", mixed.qps)
+        .add("mixed_p50_us", mixed.p50Us)
+        .add("mixed_p99_us", mixed.p99Us)
+        .add("mixed_queries", mixed.queries)
+        .counter("live_docs", stats.liveDocs)
+        .add("segments", stats.segments)
+        .add("merges", stats.merges)
+        .add("final_version", stats.version)
+        .check("below_ingest_floor",
+               ingest.docsPerSec < 10'000.0 ? 1 : 0);
+    return art.finish();
 }
 
 } // namespace

@@ -4,10 +4,11 @@
  * sampling, trace generation, and the full system loop. These bound
  * how many records per second the experiment sweeps can push.
  *
- * Self-timed (no google-benchmark) so the results flow through the
- * standard JSON frame: BENCH_micro.json carries one rows[] element
- * per kernel with a deterministic checksum — bench_diff.py gates the
- * checksums exactly and reports throughput drift informationally.
+ * Self-timed (no google-benchmark) so the results flow through
+ * bench::Artifact: BENCH_micro.json carries one rows[] element per
+ * kernel whose item count and deterministic checksum are counters
+ * (bench_diff.py gates them exactly) and whose throughput is
+ * informational.
  */
 
 #include <cstdio>
@@ -116,10 +117,10 @@ fullSystemLoop(uint64_t iters)
             bench::nowSec() - t0};
 }
 
-void
+int
 runMicro(const bench::Args &args)
 {
-    const double t0 = bench::nowSec();
+    bench::Artifact art("micro", args.smoke);
     bench::banner("Microbenchmarks", "Simulator hot-path throughput");
     // Smoke mode shrinks iteration counts; the checksums stay
     // deterministic at either scale (config carries the mode).
@@ -134,24 +135,19 @@ runMicro(const bench::Args &args)
     };
 
     Table t({"Kernel", "Items", "M items/s"});
-    bench::JsonWriter json;
-    bench::beginStandardJson(json, "micro", args.smoke);
-    json.beginArray("rows");
     for (const Kernel &kn : kernels) {
         const double mips = kn.seconds > 0
             ? kn.items / kn.seconds / 1e6 : 0.0;
         t.addRow({kn.name, Table::fmtInt(kn.items),
                   Table::fmt(mips, 2)});
-        json.beginObject();
-        json.add("kernel", std::string(kn.name));
-        json.add("items", kn.items);
-        json.add("checksum", kn.checksum);
-        json.add("m_items_per_s", mips);
-        json.endObject();
+        art.row()
+            .key("kernel", kn.name)
+            .counter("items", kn.items)
+            .counter("checksum", kn.checksum)
+            .add("m_items_per_s", mips);
     }
-    json.endArray();
     t.print();
-    bench::finishStandardJson(json, "micro", t0);
+    return art.finish();
 }
 
 } // namespace
@@ -160,6 +156,5 @@ runMicro(const bench::Args &args)
 int
 main(int argc, char **argv)
 {
-    wsearch::runMicro(wsearch::bench::parseArgs(argc, argv));
-    return 0;
+    return wsearch::runMicro(wsearch::bench::parseArgs(argc, argv));
 }

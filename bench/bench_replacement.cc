@@ -39,7 +39,7 @@ constexpr Variant kVariants[] = {
 int
 runReplacement(const bench::Args &args)
 {
-    const double bench_t0 = bench::nowSec();
+    bench::Artifact art("replacement", args.smoke);
     bench::banner("Replacement & inclusion",
                   "LLC policy study on the Fig. 6bc capacity ladder "
                   "(1/32-scale)",
@@ -66,10 +66,7 @@ runReplacement(const bench::Args &args)
         prof, plt1, options,
         bench::sweepControl(args, recordBudget(options[0]).total()));
 
-    bench::JsonWriter json;
-    bench::beginStandardJson(json, "replacement", args.smoke);
-    json.add("capacity_points", static_cast<uint64_t>(sizes.size()));
-    json.beginArray("rows");
+    art.add("capacity_points", sizes.size());
 
     constexpr size_t kNumVariants =
         sizeof(kVariants) / sizeof(kVariants[0]);
@@ -82,26 +79,23 @@ runReplacement(const bench::Args &args)
             const SystemResult &r = results[i * kNumVariants + j];
             row.push_back(
                 Table::fmt(r.l3.mpkiTotal(r.instructions), 2));
-            json.beginObject();
-            json.add("l3_capacity", sizes[i] * scale);
-            json.add("variant", std::string(kVariants[j].name));
-            json.add("l3_accesses", r.l3.totalAccesses());
-            json.add("l3_misses", r.l3.totalMisses());
-            json.add("writebacks", r.writebacks);
-            json.add("back_invalidations", r.backInvalidations);
-            json.add("instructions", r.instructions);
-            json.endObject();
+            art.row()
+                .key("l3_capacity", sizes[i] * scale)
+                .key("variant", kVariants[j].name)
+                .counter("l3_accesses", r.l3.totalAccesses())
+                .counter("l3_misses", r.l3.totalMisses())
+                .add("writebacks", r.writebacks)
+                .counter("back_invalidations", r.backInvalidations)
+                .counter("instructions", r.instructions);
         }
         t.addRow(row);
     }
-    json.endArray();
     t.print();
     std::printf("\nSRRIP/DRRIP protect the reused shard band against "
                 "the scan-like posting traffic; the exclusive LLC "
                 "buys ~L2-sized extra effective capacity, the "
                 "inclusive one pays back-invalidations.\n");
-    bench::finishStandardJson(json, "replacement", bench_t0);
-    return 0;
+    return art.finish();
 }
 
 } // namespace

@@ -15,9 +15,11 @@
  *      and cache-hit-heavy), the section that exercises the
  *      contention-free data plane: the ticket ring, the lock-striped
  *      cache tier, and the per-worker stats slabs. Every row's
- *      admission accounting is deterministic and gated by
- *      scripts/bench_diff.py; the throughput/speedup columns are
- *      wall-clock and only meaningful on multi-core hardware.
+ *      admission accounting is deterministic: its counters are gated
+ *      by scripts/bench_diff.py, and a row that sheds or loses a
+ *      query fails the run's failed_scaling_rows check. The
+ *      throughput/speedup columns are wall-clock and only meaningful
+ *      on multi-core hardware.
  *
  * --smoke shrinks the corpus, query counts and point durations;
  * sections 1-3 run 2 workers.
@@ -51,11 +53,11 @@ trafficFor(const CorpusConfig &corpus)
     return qc;
 }
 
-void
+int
 runBenchServe(const bench::Args &args)
 {
-    const double t0 = bench::nowSec();
     const bool fast = args.smoke;
+    bench::Artifact art("serve", fast);
     const uint32_t workers = 2;
 
     CorpusConfig cc;
@@ -168,8 +170,8 @@ runBenchServe(const bench::Args &args)
     // --- 4. Thread scaling on the contention-free data plane. --------
     // Closed loop so every submission resolves (no shed): the row
     // counters (queries, resolved, shed, consistency) are exactly
-    // reproducible and bench_diff-gated, while qps/speedup are
-    // wall-clock and only materialize on multi-core CI hardware.
+    // reproducible, while qps/speedup are wall-clock and only
+    // materialize on multi-core CI hardware.
     struct ScaleMix
     {
         const char *name;
@@ -189,16 +191,7 @@ runBenchServe(const bench::Args &args)
                 static_cast<unsigned long long>(scale_queries));
     Table st({"Mix", "Workers", "Queries", "Resolved", "Shed",
               "Hit rate", "QPS", "Speedup vs 1w"});
-    struct ScaleRow
-    {
-        const char *mix;
-        uint32_t workers;
-        uint64_t queries, resolved, shed;
-        uint64_t consistent;
-        double wallSec, qps, speedup, hitRate;
-    };
-    std::vector<ScaleRow> scale_rows;
-    uint64_t scaling_rows_ok = 1;
+    uint64_t failed_rows = 0;
     for (const ScaleMix &mix : mixes) {
         double qps_1w = 0.0;
         for (const uint32_t w : scale_workers) {
@@ -213,39 +206,40 @@ runBenchServe(const bench::Args &args)
             run.numQueries = scale_queries;
             const double s0 = bench::nowSec();
             const LoadReport r = runClosedLoop(pool, run);
+            const double wall_sec = bench::nowSec() - s0;
             const ServeSnapshot &s = r.snap;
-
-            ScaleRow row;
-            row.mix = mix.name;
-            row.workers = w;
-            row.queries = s.submitted;
-            row.resolved = s.completed + s.cacheHits;
-            row.shed = s.shed;
-            row.consistent = s.consistent() ? 1 : 0;
-            row.wallSec = bench::nowSec() - s0;
-            row.qps = r.achievedQps;
+            const uint64_t resolved = s.completed + s.cacheHits;
             if (qps_1w == 0.0)
                 qps_1w = r.achievedQps;
-            row.speedup = qps_1w > 0 ? r.achievedQps / qps_1w : 0.0;
-            row.hitRate = s.cacheLookups
+            const double speedup =
+                qps_1w > 0 ? r.achievedQps / qps_1w : 0.0;
+            const double hit_rate = s.cacheLookups
                 ? static_cast<double>(s.cacheHits) /
                     static_cast<double>(s.cacheLookups)
                 : 0.0;
-            // The in-run accounting invariant bench_diff asserts:
-            // every submitted query resolved, none shed, all
-            // identities intact.
-            if (row.queries != scale_queries ||
-                row.resolved != scale_queries || row.shed != 0 ||
-                !row.consistent)
-                scaling_rows_ok = 0;
-            scale_rows.push_back(row);
+            // The row's accounting invariant: every submitted query
+            // resolved, none shed, all identities intact.
+            if (s.submitted != scale_queries ||
+                resolved != scale_queries || s.shed != 0 ||
+                !s.consistent())
+                ++failed_rows;
+            art.row()
+                .key("mix", mix.name)
+                .key("workers", w)
+                .counter("queries", s.submitted)
+                .counter("resolved", resolved)
+                .counter("shed", s.shed)
+                .counter("stats_consistent", s.consistent() ? 1 : 0)
+                .add("wall_sec", wall_sec)
+                .add("qps", r.achievedQps)
+                .add("speedup_vs_1w", speedup)
+                .add("hit_rate", hit_rate);
             st.addRow({mix.name, Table::fmtInt(w),
-                       Table::fmtInt(row.queries),
-                       Table::fmtInt(row.resolved),
-                       Table::fmtInt(row.shed),
-                       Table::fmtPct(row.hitRate, 1),
-                       Table::fmt(row.qps, 1),
-                       Table::fmt(row.speedup, 2)});
+                       Table::fmtInt(s.submitted),
+                       Table::fmtInt(resolved), Table::fmtInt(s.shed),
+                       Table::fmtPct(hit_rate, 1),
+                       Table::fmt(r.achievedQps, 1),
+                       Table::fmt(speedup, 2)});
             std::fflush(stdout);
         }
     }
@@ -253,37 +247,20 @@ runBenchServe(const bench::Args &args)
     std::printf("Speedup columns need real cores: on a single-CPU "
                 "host the workers serialize and the ratio stays ~1.\n");
 
-    bench::JsonWriter json;
-    bench::beginStandardJson(json, "serve", fast);
-    json.add("workers", static_cast<uint64_t>(workers));
-    json.add("docs", static_cast<uint64_t>(cc.numDocs));
-    json.add("scaling_queries", scale_queries);
-    json.add("capacity_qps", capacity);
-    json.add("saturated_completed", saturated.completed);
-    json.add("saturated_p50_us",
-             saturated.sojournNs.quantile(0.50) * 1e-3);
-    json.add("saturated_p99_us",
-             saturated.sojournNs.quantile(0.99) * 1e-3);
-    json.add("cached_hit_rate", cached_hit_rate);
-    json.add("cached_qps", cached_qps);
-    json.add("scaling_rows_ok", scaling_rows_ok);
-    json.beginArray("rows");
-    for (const ScaleRow &row : scale_rows) {
-        json.beginObject();
-        json.add("mix", std::string(row.mix));
-        json.add("workers", static_cast<uint64_t>(row.workers));
-        json.add("queries", row.queries);
-        json.add("resolved", row.resolved);
-        json.add("shed", row.shed);
-        json.add("stats_consistent", row.consistent);
-        json.add("wall_sec", row.wallSec);
-        json.add("qps", row.qps);
-        json.add("speedup_vs_1w", row.speedup);
-        json.add("hit_rate", row.hitRate);
-        json.endObject();
-    }
-    json.endArray();
-    bench::finishStandardJson(json, "serve", t0);
+    art.config("workers", workers)
+        .config("scaling_queries", scale_queries)
+        .add("docs", cc.numDocs)
+        .add("capacity_qps", capacity)
+        .add("saturated_completed", saturated.completed)
+        .add("saturated_p50_us",
+             saturated.sojournNs.quantile(0.50) * 1e-3)
+        .add("saturated_p99_us",
+             saturated.sojournNs.quantile(0.99) * 1e-3)
+        .add("cached_hit_rate", cached_hit_rate)
+        .add("cached_qps", cached_qps)
+        .counter("scaling_rows_ok", failed_rows == 0 ? 1 : 0)
+        .check("failed_scaling_rows", failed_rows);
+    return art.finish();
 }
 
 } // namespace
@@ -292,6 +269,5 @@ runBenchServe(const bench::Args &args)
 int
 main(int argc, char **argv)
 {
-    wsearch::runBenchServe(wsearch::bench::parseArgs(argc, argv));
-    return 0;
+    return wsearch::runBenchServe(wsearch::bench::parseArgs(argc, argv));
 }

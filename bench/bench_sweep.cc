@@ -15,10 +15,11 @@
  *                       (estimates; reported separately, never
  *                       identity-gated).
  *
- * Every exact run is compared counter-for-counter against the
- * serial-classic oracle; any mismatch makes the binary exit nonzero,
- * so CI can use it as the determinism gate. Wall-clock timings and
- * speedups land in BENCH_sweep.json for EXPERIMENTS.md.
+ * Every exact run is compared field for field against the
+ * serial-classic oracle; the modes that differ are a check of
+ * BENCH_sweep.json, so any mismatch makes the binary exit nonzero and
+ * CI can use it as the determinism gate. Wall-clock timings and
+ * speedups land in the same file for EXPERIMENTS.md.
  */
 
 #include <cmath>
@@ -51,55 +52,10 @@ sweepOptions(const bench::Args &args)
     return options;
 }
 
-/** Exact counter equality; prints the first difference found. */
-bool
-identical(const SystemResult &a, const SystemResult &b)
-{
-    auto differ = [](const char *what, uint64_t x, uint64_t y) {
-        if (x == y)
-            return false;
-        std::printf("MISMATCH %s: %llu != %llu\n", what,
-                    static_cast<unsigned long long>(x),
-                    static_cast<unsigned long long>(y));
-        return true;
-    };
-    if (differ("instructions", a.instructions, b.instructions) ||
-        differ("branches", a.branches, b.branches) ||
-        differ("mispredicts", a.mispredicts, b.mispredicts) ||
-        differ("dtlbWalks", a.dtlbWalks, b.dtlbWalks) ||
-        differ("itlbWalks", a.itlbWalks, b.itlbWalks) ||
-        differ("l3Evictions", a.l3Evictions, b.l3Evictions) ||
-        differ("writebacks", a.writebacks, b.writebacks) ||
-        differ("backInvalidations", a.backInvalidations,
-               b.backInvalidations) ||
-        differ("cohUpgrades", a.cohUpgrades, b.cohUpgrades) ||
-        differ("cohInvalidations", a.cohInvalidations,
-               b.cohInvalidations) ||
-        differ("cohDirtyWritebacks", a.cohDirtyWritebacks,
-               b.cohDirtyWritebacks))
-        return false;
-    const CacheLevelStats *as[] = {&a.l1i, &a.l1d, &a.l2, &a.l3, &a.l4};
-    const CacheLevelStats *bs[] = {&b.l1i, &b.l1d, &b.l2, &b.l3, &b.l4};
-    for (int lvl = 0; lvl < 5; ++lvl)
-        for (uint32_t k = 0; k < kNumAccessKinds; ++k)
-            if (differ("cache accesses", as[lvl]->accesses[k],
-                       bs[lvl]->accesses[k]) ||
-                differ("cache misses", as[lvl]->misses[k],
-                       bs[lvl]->misses[k]))
-                return false;
-    if (a.ipcPerThread != b.ipcPerThread ||
-        a.amatL3Ns != b.amatL3Ns ||
-        a.topdown.total() != b.topdown.total()) {
-        std::printf("MISMATCH derived metrics (ipc/amat/topdown)\n");
-        return false;
-    }
-    return true;
-}
-
 int
 runBenchSweep(const bench::Args &args)
 {
-    const double bench_t0 = bench::nowSec();
+    bench::Artifact art("sweep", args.smoke);
     // In this driver --smoke shrinks budgets but the gated runs stay
     // exact, so no "all numbers are estimates" banner notice; only the
     // explicitly labelled sampled row is an estimate.
@@ -123,19 +79,17 @@ runBenchSweep(const bench::Args &args)
                 serial_sec);
     std::fflush(stdout);
 
-    bench::JsonWriter json;
-    bench::beginStandardJson(json, "sweep", args.smoke);
-    json.add("configs", static_cast<uint64_t>(options.size()));
-    json.add("records_per_config", records_per_config);
-    json.add("sim_threads_default", static_cast<uint64_t>(simThreads()));
-    json.add("serial_classic_sec", serial_sec);
-    json.beginArray("runs");
+    art.config("configs", options.size())
+        .config("records_per_config", records_per_config)
+        .add("sim_threads_default", simThreads())
+        .add("serial_classic_sec", serial_sec);
+    std::vector<bench::JsonFields> runs;
 
     Table t({"Mode", "Threads", "Wall (s)", "Speedup", "Identical"});
     t.addRow({"serial-classic", "-", Table::fmt(serial_sec, 2),
               Table::fmt(1.0, 2), "(oracle)"});
 
-    bool all_identical = true;
+    uint64_t nonidentical_modes = 0;
     const std::vector<uint32_t> thread_counts = {1, 2, 4, 8};
     for (const uint32_t threads : thread_counts) {
         SweepControl control;
@@ -145,23 +99,21 @@ runBenchSweep(const bench::Args &args)
             runWorkloadSweep(prof, plt1, options, control);
         const double sec = bench::nowSec() - t0;
 
-        bool same = got.size() == oracle.size();
-        for (size_t i = 0; same && i < oracle.size(); ++i)
-            same = identical(got[i], oracle[i]);
-        all_identical = all_identical && same;
+        const bool same = got == oracle;
+        nonidentical_modes += same ? 0 : 1;
 
         const char *mode =
             threads == 1 ? "buffered serial" : "parallel";
         t.addRow({mode, Table::fmtInt(threads), Table::fmt(sec, 2),
                   Table::fmt(serial_sec / sec, 2),
                   same ? "yes" : "NO"});
-        json.beginObject();
-        json.add("mode", std::string(mode));
-        json.add("threads", static_cast<uint64_t>(threads));
-        json.add("wall_sec", sec);
-        json.add("speedup_vs_serial_classic", serial_sec / sec);
-        json.add("identical", static_cast<uint64_t>(same ? 1 : 0));
-        json.endObject();
+        runs.push_back(bench::JsonFields()
+                           .add("mode", mode)
+                           .add("threads", threads)
+                           .add("wall_sec", sec)
+                           .add("speedup_vs_serial_classic",
+                                serial_sec / sec)
+                           .add("identical", same ? 1 : 0));
         std::fflush(stdout);
     }
 
@@ -180,16 +132,16 @@ runBenchSweep(const bench::Args &args)
         t.addRow({"sampled (est.)", "1", Table::fmt(sec, 2),
                   Table::fmt(serial_sec / sec, 2),
                   "n/a (sampled)"});
-        json.beginObject();
-        json.add("mode", std::string("sampled"));
-        json.add("threads", static_cast<uint64_t>(1));
-        json.add("wall_sec", sec);
-        json.add("speedup_vs_serial_classic", serial_sec / sec);
-        json.add("sampled_windows", sampled[0].sampledWindows);
-        json.add("simulated_fraction",
-                 buildUniformPlan(records_per_config, control.rep)
-                     .simulatedFraction());
-        json.endObject();
+        runs.push_back(
+            bench::JsonFields()
+                .add("mode", "sampled")
+                .add("threads", 1)
+                .add("wall_sec", sec)
+                .add("speedup_vs_serial_classic", serial_sec / sec)
+                .add("sampled_windows", sampled[0].sampledWindows)
+                .add("simulated_fraction",
+                     buildUniformPlan(records_per_config, control.rep)
+                         .simulatedFraction()));
     }
 
     // Clustered representative sampling (see memsim/sweep.hh), timed
@@ -274,46 +226,38 @@ runBenchSweep(const bench::Args &args)
                     equal_error_reached ? "" : " (never matched; 8x cap)",
                     speedup_at_equal_error);
 
-        json.beginObject();
-        json.add("mode", std::string("clustered"));
-        json.add("threads", static_cast<uint64_t>(1));
-        json.add("wall_sec", clustered_sec);
-        json.add("speedup_vs_serial_classic", serial_sec / clustered_sec);
-        json.add("sampled_windows", clustered.sampledWindows);
-        json.add("simulated_fraction", cplan.simulatedFraction());
-        json.endObject();
-        json.endArray();
+        runs.push_back(bench::JsonFields()
+                           .add("mode", "clustered")
+                           .add("threads", 1)
+                           .add("wall_sec", clustered_sec)
+                           .add("speedup_vs_serial_classic",
+                                serial_sec / clustered_sec)
+                           .add("sampled_windows", clustered.sampledWindows)
+                           .add("simulated_fraction",
+                                cplan.simulatedFraction()));
 
-        json.add("equal_error_oracle_l3_misses", o);
-        json.add("equal_error_clustered_abs_err", cerr);
-        json.add("equal_error_clustered_records",
-                 cplan.simulatedRecords());
-        json.add("equal_error_uniform_abs_err", uerr);
-        json.add("equal_error_uniform_records", uniform_records);
-        json.add("equal_error_uniform_windows",
-                 static_cast<uint64_t>(uniform_windows));
-        json.add("equal_error_reached",
-                 static_cast<uint64_t>(equal_error_reached ? 1 : 0));
-        json.add("speedup_at_equal_error", speedup_at_equal_error);
+        art.add("equal_error_oracle_l3_misses", o)
+            .add("equal_error_clustered_abs_err", cerr)
+            .add("equal_error_clustered_records",
+                 cplan.simulatedRecords())
+            .add("equal_error_uniform_abs_err", uerr)
+            .add("equal_error_uniform_records", uniform_records)
+            .add("equal_error_uniform_windows", uniform_windows)
+            .add("equal_error_reached", equal_error_reached ? 1 : 0)
+            .add("speedup_at_equal_error", speedup_at_equal_error);
     }
-    json.add("all_identical",
-             static_cast<uint64_t>(all_identical ? 1 : 0));
+    art.add("runs", runs)
+        .counter("all_identical", nonidentical_modes == 0 ? 1 : 0)
+        .check("nonidentical_modes", nonidentical_modes);
 
     t.print();
-    std::printf("\n");
-    bench::finishStandardJson(json, "sweep", bench_t0);
-
-    if (!all_identical) {
-        std::printf("\nFAIL: sweep results differ from the "
-                    "serial-classic oracle\n");
-        return 1;
-    }
-    std::printf("\nAll sweep modes bit-identical to the "
-                "serial-classic oracle.\n");
+    if (nonidentical_modes == 0)
+        std::printf("\nAll sweep modes bit-identical to the "
+                    "serial-classic oracle.\n");
     std::printf("Note: parallel speedup requires hardware threads; "
                 "on a single-CPU host the win comes from generating "
                 "the trace once instead of once per config.\n");
-    return 0;
+    return art.finish();
 }
 
 } // namespace

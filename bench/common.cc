@@ -108,6 +108,13 @@ nowSec()
         .count();
 }
 
+namespace {
+
+/**
+ * Git revision the binary is benchmarking: WSEARCH_GIT_SHA if set,
+ * else GITHUB_SHA (what CI exports), else "unknown", so
+ * scripts/bench_diff.py can tell which two revisions it compares.
+ */
 std::string
 gitSha()
 {
@@ -119,109 +126,105 @@ gitSha()
     return "unknown";
 }
 
-void
-beginStandardJson(JsonWriter &json, const std::string &bench_name,
-                  bool smoke)
-{
-    json.add("schema_version", static_cast<uint64_t>(2));
-    json.add("bench", bench_name);
-    json.add("smoke", static_cast<uint64_t>(smoke ? 1 : 0));
-    json.add("git_sha", gitSha());
-}
+} // namespace
 
-bool
-finishStandardJson(JsonWriter &json, const std::string &bench_name,
-                   double t0_sec)
+std::string
+jsonValue(const std::string &v)
 {
-    json.add("wall_time_sec", nowSec() - t0_sec);
-    const std::string out = "BENCH_" + bench_name + ".json";
-    const bool ok = json.writeFile(out);
-    if (ok)
-        std::printf("Results written to %s\n", out.c_str());
-    else
-        std::fprintf(stderr, "bench: failed to write %s\n",
-                     out.c_str());
-    return ok;
-}
-
-void
-JsonWriter::comma()
-{
-    if (needComma_)
-        out_ += ",";
-    needComma_ = true;
-}
-
-void
-JsonWriter::add(const std::string &key, double value)
-{
-    comma();
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    out_ += "\"" + key + "\":" + buf;
-}
-
-void
-JsonWriter::add(const std::string &key, uint64_t value)
-{
-    comma();
-    out_ += "\"" + key + "\":" + std::to_string(value);
-}
-
-void
-JsonWriter::add(const std::string &key, const std::string &value)
-{
-    comma();
-    out_ += "\"" + key + "\":\"" + value + "\"";
-}
-
-void
-JsonWriter::beginArray(const std::string &key)
-{
-    comma();
-    out_ += "\"" + key + "\":[";
-    needComma_ = false;
-}
-
-void
-JsonWriter::beginObject()
-{
-    comma();
-    out_ += "{";
-    needComma_ = false;
-}
-
-void
-JsonWriter::endObject()
-{
-    out_ += "}";
-    needComma_ = true;
-}
-
-void
-JsonWriter::endArray()
-{
-    out_ += "]";
-    needComma_ = true;
-}
-
-bool
-JsonWriter::writeFile(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const std::string body = str();
-    const bool ok =
-        std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    std::fclose(f);
-    return ok;
+    return "\"" + v + "\"";
 }
 
 std::string
-JsonWriter::str() const
+jsonValue(const char *v)
 {
-    return out_ + "}\n";
+    return jsonValue(std::string(v));
+}
+
+std::string
+jsonValue(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.6g", v);
+    return buf;
+}
+
+std::string
+jsonValue(const JsonFields &object)
+{
+    return object.str();
+}
+
+std::string
+jsonValue(const std::vector<JsonFields> &objects)
+{
+    std::string out = "[";
+    for (const JsonFields &o : objects)
+        out += (out.size() > 1 ? "," : "") + o.str();
+    return out + "]";
+}
+
+JsonFields
+Row::fields() const
+{
+    JsonFields row = info_;
+    row.add("key", key_).add("counters", counters_);
+    return row;
+}
+
+Artifact::Artifact(const std::string &bench, bool smoke)
+    : bench_(bench), t0_(nowSec())
+{
+    top_.add("schema_version", 3)
+        .add("bench", bench)
+        .add("smoke", smoke ? 1 : 0)
+        .add("git_sha", gitSha());
+}
+
+Artifact &
+Artifact::check(const std::string &key, uint64_t failures)
+{
+    checks_.add(key, failures);
+    if (failures)
+        failed_ += " " + key + "=" + std::to_string(failures);
+    return *this;
+}
+
+Row &
+Artifact::row()
+{
+    return rows_.emplace_back();
+}
+
+int
+Artifact::finish() const
+{
+    std::vector<JsonFields> rows;
+    for (const Row &r : rows_)
+        rows.push_back(r.fields());
+    JsonFields out = top_;
+    out.add("config", config_)
+        .add("counters", counters_)
+        .add("checks", checks_)
+        .add("rows", rows)
+        .add("wall_time_sec", nowSec() - t0_);
+
+    const std::string path = "BENCH_" + bench_ + ".json";
+    const std::string body = out.str() + "\n";
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    bool ok = f != nullptr;
+    if (f) {
+        ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
+        ok = std::fclose(f) == 0 && ok;
+    }
+    if (ok)
+        std::printf("Results written to %s\n", path.c_str());
+    else
+        std::fprintf(stderr, "bench: failed to write %s\n",
+                     path.c_str());
+    if (!failed_.empty())
+        std::fprintf(stderr, "bench_%s: FAILED checks:%s\n",
+                     bench_.c_str(), failed_.c_str());
+    return ok && failed_.empty() ? 0 : 1;
 }
 
 } // namespace bench

@@ -3,9 +3,8 @@
  * Shared harness for the figure/table bench drivers: command-line
  * parsing (--smoke, --threads), the standard RunOptions/budget
  * boilerplate every driver used to duplicate, the SweepControl fed to
- * the parallel sweep engine, the banner, wall-clock timing, and a
- * minimal JSON emitter for machine-readable bench output
- * (BENCH_*.json).
+ * the parallel sweep engine, the banner, wall-clock timing, and the
+ * machine-readable bench output (BENCH_*.json, see Artifact).
  *
  * The command line is the only way to size a run; any other argument
  * prints a usage line and exits 2:
@@ -24,7 +23,9 @@
 #ifndef WSEARCH_BENCH_COMMON_HH
 #define WSEARCH_BENCH_COMMON_HH
 
+#include <concepts>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -87,64 +88,149 @@ void banner(const std::string &experiment_id,
 /** Monotonic wall clock in seconds. */
 double nowSec();
 
-/**
- * Git revision the binary is benchmarking: WSEARCH_GIT_SHA if set,
- * else GITHUB_SHA (what CI exports), else "unknown". Baked into every
- * BENCH_*.json so scripts/bench_diff.py can tell which two revisions
- * it is comparing.
- */
-std::string gitSha();
+class JsonFields;
 
 /**
- * Minimal JSON object writer for BENCH_*.json artifacts. Values are
- * emitted in insertion order; nested arrays of objects supported via
- * beginArray/add/endArray.
+ * @p v as JSON text: integers exact, doubles "%.6g", strings quoted,
+ * JsonFields as a nested object and vectors of them as an array.
  */
-class JsonWriter
+std::string jsonValue(const std::string &v);
+std::string jsonValue(const char *v);
+std::string jsonValue(double v);
+std::string jsonValue(const JsonFields &object);
+std::string jsonValue(const std::vector<JsonFields> &objects);
+template <std::integral T>
+std::string
+jsonValue(T v)
+{
+    return std::to_string(v);
+}
+
+/** The fields of one JSON object, in insertion order. */
+class JsonFields
 {
   public:
-    void add(const std::string &key, double value);
-    void add(const std::string &key, uint64_t value);
-    void add(const std::string &key, const std::string &value);
-    void beginArray(const std::string &key);
-    void beginObject();
-    void endObject();
-    void endArray();
+    template <typename T>
+    JsonFields &
+    add(const std::string &key, const T &value)
+    {
+        body_ += (body_.empty() ? "\"" : ",\"") + key +
+            "\":" + jsonValue(value);
+        return *this;
+    }
 
-    /** Write the accumulated object to @p path; returns success. */
-    bool writeFile(const std::string &path) const;
-
-    std::string str() const;
+    std::string str() const { return "{" + body_ + "}"; }
 
   private:
-    void comma();
-    std::string out_ = "{";
-    bool needComma_ = false;
+    std::string body_;
 };
 
 /**
- * The uniform BENCH_*.json preamble every driver emits first:
- *   schema_version  bumped when the shared key set or what the
- *                   rows measure changes (bench_diff.py then
- *                   re-baselines instead of reporting drift)
- *   bench           @p bench_name
- *   smoke           1 when the run is the sampled/smoke quick-look
- *   git_sha         gitSha()
- * Driver-specific config and measured/expected counters follow, and
- * finishStandardJson() closes the object. Keeping the frame uniform is
- * what lets bench_all.sh aggregate and bench_diff.py gate without
- * per-bench special cases.
+ * One rows[] element of an Artifact. key() fields identify the row
+ * (bench_diff matches it to the baseline row with the same key),
+ * counter() fields must equal that row's, and add() fields are
+ * informational.
  */
-void beginStandardJson(JsonWriter &json, const std::string &bench_name,
-                       bool smoke);
+class Row
+{
+  public:
+    template <typename T>
+    Row &
+    key(const std::string &name, const T &value)
+    {
+        key_.add(name, value);
+        return *this;
+    }
+
+    template <typename T>
+    Row &
+    counter(const std::string &name, const T &value)
+    {
+        counters_.add(name, value);
+        return *this;
+    }
+
+    template <typename T>
+    Row &
+    add(const std::string &name, const T &value)
+    {
+        info_.add(name, value);
+        return *this;
+    }
+
+    /** The informational fields, then "key" and "counters". */
+    JsonFields fields() const;
+
+  private:
+    JsonFields key_, counters_, info_;
+};
 
 /**
- * Append "wall_time_sec" (nowSec() - @p t0_sec) and write the object
- * to BENCH_<bench_name>.json, echoing the path on success. Returns
- * the write status.
+ * A driver's BENCH_<bench>.json. Each adder names the role of what it
+ * records, and scripts/bench_diff.py gates by role alone:
+ *
+ *   config()   the run's inputs ("config"): when one differs from the
+ *              baseline's, the diff is skipped and the run re-baselines
+ *   counter()  a deterministic scalar ("counters"): must equal the
+ *              baseline's
+ *   check()    an in-run failure count ("checks"): must be 0, and a
+ *              nonzero count makes finish() return 1
+ *   row()      a rows[] element (see Row)
+ *   add()      anything else: informational, never gated
+ *
+ * The frame around them: schema_version (bumped when what the
+ * sections hold changes, so bench_diff re-baselines instead of
+ * reporting drift), bench, smoke, git_sha and wall_time_sec.
  */
-bool finishStandardJson(JsonWriter &json,
-                        const std::string &bench_name, double t0_sec);
+class Artifact
+{
+  public:
+    /** Starts the wall clock that finish() reports. */
+    Artifact(const std::string &bench, bool smoke);
+
+    template <typename T>
+    Artifact &
+    config(const std::string &key, const T &value)
+    {
+        config_.add(key, value);
+        return *this;
+    }
+
+    template <typename T>
+    Artifact &
+    counter(const std::string &key, const T &value)
+    {
+        counters_.add(key, value);
+        return *this;
+    }
+
+    Artifact &check(const std::string &key, uint64_t failures);
+
+    template <typename T>
+    Artifact &
+    add(const std::string &key, const T &value)
+    {
+        top_.add(key, value);
+        return *this;
+    }
+
+    /** Append a row; the reference stays valid. */
+    Row &row();
+
+    /**
+     * Add wall_time_sec, write BENCH_<bench>.json and name every
+     * nonzero check on stderr. @return the driver's exit status: 0,
+     * or 1 when a check failed or the file could not be written.
+     */
+    int finish() const;
+
+  private:
+    std::string bench_;
+    double t0_;
+    JsonFields top_, config_, counters_, checks_;
+    std::deque<Row> rows_;
+    std::string failed_; ///< "key=n" of each nonzero check
+};
 
 } // namespace bench
 } // namespace wsearch

@@ -6,23 +6,28 @@
 #
 # Usage: scripts/bench_all.sh [build-dir]
 #   build-dir          defaults to ./build
-#   WSEARCH_BENCHES    space-separated driver subset (default: every
-#                      driver but bench_cluster, which CI runs on its
-#                      own, with and without --faults)
+#   WSEARCH_BENCHES    space-separated driver subset, e.g. "leaf sweep"
+#                      (default: every bench_* built under
+#                      build-dir/bench but bench_cluster, which CI runs
+#                      on its own, with and without --faults)
 #   Artifacts are written to the current working directory.
 set -euo pipefail
 
 BUILD_DIR=${1:-build}
-# The JSON-emitting drivers first, then the table-only ones.
-ALL_BENCHES="leaf ingest serve sweep replacement micro ablation fig6bc fig8
-fig9 fig13 table1 table2 fig2a fig2b fig2c fig3 fig4 fig5 fig6a fig7a fig7b
-fig10 fig11 fig14 discussion"
-BENCHES=${WSEARCH_BENCHES:-$ALL_BENCHES}
-
 if [ ! -d "$BUILD_DIR/bench" ]; then
     echo "bench_all.sh: no $BUILD_DIR/bench (build first)" >&2
     exit 2
 fi
+
+# The drivers are whatever bench/CMakeLists.txt builds.
+ALL_BENCHES=""
+for bin in "$BUILD_DIR"/bench/bench_*; do
+    b=${bin##*/bench_}
+    if [ -f "$bin" ] && [ -x "$bin" ] && [ "$b" != cluster ]; then
+        ALL_BENCHES="$ALL_BENCHES $b"
+    fi
+done
+BENCHES=${WSEARCH_BENCHES:-$ALL_BENCHES}
 
 for b in $BENCHES; do
     bin="$BUILD_DIR/bench/bench_$b"
@@ -31,9 +36,9 @@ for b in $BENCHES; do
         exit 2
     fi
     echo "== bench_$b (smoke) =="
-    # fig6bc doubles as the clustered-sampling statistical gate: it
-    # exits nonzero if the full-replay oracle lands outside the
-    # clustered estimate's confidence band.
+    # A driver exits nonzero when one of its checks fails, e.g.
+    # fig6bc's clustered-sampling band gate (the full-replay oracle
+    # outside the clustered estimate's confidence band).
     "$bin" --smoke
     echo
 done

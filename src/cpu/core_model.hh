@@ -89,6 +89,8 @@ struct TopDown
         return *this;
     }
 
+    bool operator==(const TopDown &) const = default;
+
     double retiringFrac() const { return retiring / total(); }
     double badSpecFrac() const { return badSpeculation / total(); }
     double feLatFrac() const { return frontendLatency / total(); }

@@ -84,6 +84,14 @@ struct SystemResult : SimResult
         return *this;
     }
 
+    /**
+     * Every field equal, the SimResult part included. For the doubles
+     * value equality is bit equality: IPC and AMAT guard their
+     * divisions, and the Top-Down sums and the band variance start at
+     * +0.0 and only add non-negative terms, so none is NaN or -0.
+     */
+    bool operator==(const SystemResult &) const = default;
+
     double
     branchMpki() const
     {

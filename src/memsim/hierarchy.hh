@@ -294,15 +294,6 @@ class CacheHierarchy
     const CacheLevelStats &l3Stats() const { return shared_.l3Stats(); }
     const CacheLevelStats &l4Stats() const { return shared_.l4Stats(); }
 
-    /** Combined L1 (I+D) stats. */
-    CacheLevelStats
-    l1Stats() const
-    {
-        CacheLevelStats s = l1iStats();
-        s += l1dStats();
-        return s;
-    }
-
     uint64_t l3Evictions() const { return shared_.l3Evictions(); }
     uint64_t
     writebacks() const

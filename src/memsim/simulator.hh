@@ -117,6 +117,9 @@ struct SimResult
         l3MissVar += o.l3MissVar;
         return *this;
     }
+
+    /** Every field equal (see SystemResult::operator==). */
+    bool operator==(const SimResult &) const = default;
 };
 
 /**

@@ -31,21 +31,21 @@ sampleSeed(uint64_t s)
 }
 
 RepresentativeSampling
-defaultRepresentativeSampling(uint64_t total_records, uint32_t windows,
-                              uint32_t sample_windows)
+defaultRepresentativeSampling(uint64_t total_records)
 {
+    constexpr uint32_t kWindows = 96, kSampleWindows = 12;
     RepresentativeSampling rep;
-    if (total_records == 0 || windows == 0 || sample_windows == 0)
+    if (total_records == 0)
         return rep;
     rep.windowRecords =
-        std::max<uint64_t>(1, total_records / windows);
+        std::max<uint64_t>(1, total_records / kWindows);
     // Warmup per sampled window. Architectural state is carried across
     // skipped gaps, but the cache still re-warms from whatever the gap
     // would have loaded; a full window of uncounted warmup before each
     // measured window keeps that cold-state bias inside the reported
     // band (the bench_fig6bc gate checks exactly this).
     rep.warmupRecords = rep.windowRecords;
-    rep.sampleWindows = sample_windows;
+    rep.sampleWindows = kSampleWindows;
     return rep;
 }
 

@@ -87,14 +87,10 @@ struct RepresentativeSampling
 };
 
 /**
- * The default sampling knobs: ~@p windows windows over
- * @p total_records, @p sample_windows of them simulated, each after a
- * one-window warmup.
+ * The default sampling knobs: ~96 windows over @p total_records, 12
+ * of them simulated, each after a one-window warmup.
  */
-RepresentativeSampling
-defaultRepresentativeSampling(uint64_t total_records,
-                              uint32_t windows = 96,
-                              uint32_t sample_windows = 12);
+RepresentativeSampling defaultRepresentativeSampling(uint64_t total_records);
 
 /** Resolve a sampling seed: @p s, else the fixed built-in seed. */
 uint64_t sampleSeed(uint64_t s);

@@ -138,42 +138,8 @@ struct CacheLevelStats
         prefetchUseful += other.prefetchUseful;
         return *this;
     }
-};
 
-/** Online mean/variance/min/max accumulator (Welford). */
-class RunningStat
-{
-  public:
-    void
-    add(double x)
-    {
-        ++n_;
-        const double delta = x - mean_;
-        mean_ += delta / static_cast<double>(n_);
-        m2_ += delta * (x - mean_);
-        if (x < min_ || n_ == 1)
-            min_ = x;
-        if (x > max_ || n_ == 1)
-            max_ = x;
-    }
-
-    uint64_t count() const { return n_; }
-    double mean() const { return mean_; }
-    double min() const { return min_; }
-    double max() const { return max_; }
-
-    double
-    variance() const
-    {
-        return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-    }
-
-  private:
-    uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
+    bool operator==(const CacheLevelStats &) const = default;
 };
 
 } // namespace wsearch

@@ -79,8 +79,9 @@ expectValidPage(const MergedPage &page, uint32_t shards_total)
     for (size_t i = 0; i < page.docs.size(); ++i) {
         EXPECT_TRUE(seen.insert(page.docs[i].doc).second)
             << "duplicate doc " << page.docs[i].doc;
-        if (i > 0)
+        if (i > 0) {
             EXPECT_FALSE(page.docs[i - 1] < page.docs[i]);
+        }
     }
 }
 

@@ -74,18 +74,6 @@ TEST(CacheLevelStats, Reset)
     EXPECT_EQ(s.prefetchIssued, 0u);
 }
 
-TEST(RunningStat, Moments)
-{
-    RunningStat r;
-    for (double x : {1.0, 2.0, 3.0, 4.0, 5.0})
-        r.add(x);
-    EXPECT_EQ(r.count(), 5u);
-    EXPECT_DOUBLE_EQ(r.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(r.min(), 1.0);
-    EXPECT_DOUBLE_EQ(r.max(), 5.0);
-    EXPECT_DOUBLE_EQ(r.variance(), 2.5);
-}
-
 TEST(AccessKindNames, AllNamed)
 {
     EXPECT_STREQ(accessKindName(AccessKind::Code), "code");
