@@ -6,7 +6,8 @@
  * queries, single thread -- for BOTH posting codecs (delta+varint and
  * the SIMD bit-packed frame-of-reference blocks). Reports QPS,
  * postings decoded, candidates scored, and the scored/decoded ratio,
- * plus the packed-vs-varint QPS ratio that motivates the codec.
+ * plus the packed-vs-varint QPS ratio that motivates the codec and
+ * each codec's index build time (informational, never gated).
  *
  * Every query is executed on every engine x codec combination and the
  * result lists are compared bit-identically (doc ids, float scores,
@@ -120,8 +121,16 @@ runBenchLeaf(bool smoke)
     const CorpusGenerator corpus(cc);
     // Same corpus, two layouts: every comparison below is the same
     // logical index in a different byte encoding.
+    const uint64_t t_varint = nowNs();
     const MaterializedIndex varint(corpus, PostingCodec::kVarint);
+    const uint64_t t_packed = nowNs();
     const MaterializedIndex packed(corpus, PostingCodec::kPacked);
+    const double varint_build_sec =
+        static_cast<double>(t_packed - t_varint) * 1e-9;
+    const double packed_build_sec =
+        static_cast<double>(nowNs() - t_packed) * 1e-9;
+    std::printf("index build: varint %.3f s, packed %.3f s\n",
+                varint_build_sec, packed_build_sec);
 
     QueryGenerator::Config qc;
     qc.vocabSize = cc.vocabSize;
@@ -151,7 +160,10 @@ runBenchLeaf(bool smoke)
     art.config("docs", cc.numDocs)
         .config("queries_per_workload", num_queries)
         .add("simd_level",
-             packed_simd::levelName(packed_simd::activeLevel()));
+             packed_simd::levelName(packed_simd::activeLevel()))
+        .add("index_build_sec", bench::JsonFields()
+                                    .add("varint", varint_build_sec)
+                                    .add("packed", packed_build_sec));
 
     uint64_t mismatched = 0, packed_blocks = 0;
     double packed_vs_varint_min = 1e300;

@@ -9,8 +9,14 @@
 #   WSEARCH_BENCHES    space-separated driver subset, e.g. "leaf sweep"
 #                      (default: every bench_* built under
 #                      build-dir/bench but bench_cluster, which CI runs
-#                      on its own, with and without --faults)
-#   Artifacts are written to the current working directory.
+#                      on its own, with and without --faults); the
+#                      aggregate then records "subset": true, so
+#                      bench_diff.py notes, not fails, the benches a
+#                      subset leaves out
+#   Artifacts are written to the current working directory. Only the
+#   benches of this run are aggregated, and each bench's
+#   BENCH_<name>.json is removed before the bench runs, so a stale
+#   artifact never stands in for a bench that stopped writing one.
 set -euo pipefail
 
 BUILD_DIR=${1:-build}
@@ -35,6 +41,7 @@ for b in $BENCHES; do
         echo "bench_all.sh: missing $bin" >&2
         exit 2
     fi
+    rm -f "BENCH_$b.json"
     echo "== bench_$b (smoke) =="
     # A driver exits nonzero when one of its checks fails, e.g.
     # fig6bc's clustered-sampling band gate (the full-replay oracle
@@ -43,14 +50,16 @@ for b in $BENCHES; do
     echo
 done
 
-python3 - <<'EOF'
-import glob, json
+BENCHES="$BENCHES" SUBSET=${WSEARCH_BENCHES:+1} python3 - <<'EOF'
+import json, os
 
 out = {"schema_version": 1, "benches": {}}
-for path in sorted(glob.glob("BENCH_*.json")):
-    if path == "BENCH_all.json":
-        continue
-    name = path[len("BENCH_"):-len(".json")]
+if os.environ["SUBSET"]:
+    out["subset"] = True
+for name in sorted(os.environ["BENCHES"].split()):
+    path = "BENCH_%s.json" % name
+    if not os.path.exists(path):
+        continue  # a table-only bench
     with open(path) as f:
         out["benches"][name] = json.load(f)
 shas = {b.get("git_sha", "unknown") for b in out["benches"].values()}

@@ -22,6 +22,10 @@ bench:
             same "key" object. A baseline row with no match fails,
             and each of its "counters" must equal the matched row's.
 
+A baseline bench that CURRENT lacks fails, unless CURRENT declares
+itself a subset run ("subset": true, written by bench_all.sh when
+WSEARCH_BENCHES picks the benches); then it only prints a note.
+
 Every other field is informational and never gated. A wall_time_sec
 more than 15% over the baseline's prints a warning (GitHub annotation
 format) but passes: bench machines are noisy, so time never fails.
@@ -48,13 +52,14 @@ def warn(msg):
 
 
 def load(path):
+    """The aggregate at @path: its benches and its subset flag."""
     if os.path.isdir(path):
         path = os.path.join(path, "BENCH_all.json")
     with open(path) as f:
         data = json.load(f)
     if "benches" not in data:
         raise ValueError("%s: not a BENCH_all.json aggregate" % path)
-    return data["benches"]
+    return data["benches"], data.get("subset", False)
 
 
 def failed_checks(name, bench):
@@ -118,18 +123,23 @@ def diff_bench(name, cur, base):
 
 
 def run_diff(cur_path, base_path):
-    current = load(cur_path)
+    current, subset = load(cur_path)
     errors = []
     for name, bench in sorted(current.items()):
         errors += failed_checks(name, bench)
     try:
-        baseline = load(base_path)
+        baseline, _ = load(base_path)
     except (OSError, ValueError) as e:
         print("note: no usable baseline (%s); checks only" % e)
         return errors
-    for name, bench in sorted(current.items()):
-        if name in baseline:
-            errors += diff_bench(name, bench, baseline[name])
+    for name, base in sorted(baseline.items()):
+        if name in current:
+            errors += diff_bench(name, current[name], base)
+        elif subset:
+            print("note: %s: not in this subset run" % name)
+        else:
+            errors += fail("%s: in the baseline but missing from this "
+                           "run" % name)
     return errors
 
 
@@ -275,6 +285,17 @@ def selftest():
             return t
 
         assert diff(renamed(999), write(renamed(5), "renamed.json"))[0]
+
+        # 10. A bench that stops writing its artifact fails a full
+        # run ...
+        t = _sample()
+        del t["benches"]["pool"]
+        errors, out = diff(t, base)
+        assert errors and "pool" in out, out
+        # ... and only prints a note in a declared subset run.
+        t["subset"] = True
+        errors, out = diff(t, base)
+        assert errors == [] and "note: pool:" in out, out
 
     print("bench_diff selftest: all gates behave")
     return 0

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "util/logging.hh"
 
@@ -41,9 +40,10 @@ MaterializedIndex::build(const CorpusGenerator &corpus,
         : 0;
     docLen_.resize(numDocs_);
 
-    // term -> (doc -> tf), built doc-by-doc. Documents arrive in
-    // ascending id order so posting lists come out sorted.
-    std::vector<std::map<DocId, uint32_t>> acc(cc.vocabSize);
+    // term -> the local doc of each of its occurrences, built doc by
+    // doc. Documents arrive in ascending id order, so each list comes
+    // out sorted and a document's repeats of the term are adjacent.
+    std::vector<std::vector<DocId>> acc(cc.vocabSize);
     uint64_t total_len = 0;
     for (DocId d = 0; d < numDocs_; ++d) {
         const Document doc =
@@ -51,7 +51,7 @@ MaterializedIndex::build(const CorpusGenerator &corpus,
         docLen_[d] = static_cast<uint32_t>(doc.terms.size());
         total_len += doc.terms.size();
         for (const TermId t : doc.terms)
-            ++acc[t][d];
+            acc[t].push_back(d);
     }
     avgDocLen_ = numDocs_
         ? static_cast<double>(total_len) / numDocs_ : 0.0;
@@ -60,8 +60,17 @@ MaterializedIndex::build(const CorpusGenerator &corpus,
     uint64_t offset = 0;
     for (TermId t = 0; t < cc.vocabSize; ++t) {
         PostingListBuilder b(codec_);
-        for (const auto &[doc, tf] : acc[t])
-            b.add(doc, tf);
+        const std::vector<DocId> &docs = acc[t];
+        // Each run of one doc is a posting; its length is the tf.
+        for (auto run = docs.begin(); run != docs.end();) {
+            const DocId doc = *run;
+            const auto next = std::find_if(
+                run, docs.end(), [doc](DocId x) { return x != doc; });
+            b.add(doc, static_cast<uint32_t>(next - run));
+            run = next;
+        }
+        // Encoded lists reuse the freed occurrences as the walk goes.
+        std::vector<DocId>().swap(acc[t]);
         TermData &td = terms_[t];
         td.info.docFreq = b.count();
         td.skips = b.releaseSkips(); // must precede release()

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cpu/branch.hh"
+#include "reference_predictors.hh"
 #include "util/rng.hh"
 
 namespace wsearch {
@@ -117,6 +120,62 @@ TEST(AllPredictors, RandomBranchesNearCoinFlip)
     EXPECT_NEAR(run(gs, 2), 0.5, 0.05);
     EXPECT_NEAR(run(tour, 3), 0.5, 0.05);
 }
+
+class PackedTournament : public ::testing::TestWithParam<uint32_t>
+{
+};
+
+// The packed tables must predict exactly what one byte per counter
+// predicts, at every step of seeded streams that drive each counter
+// through all four states: biased, periodic and coin-flip branch
+// sites drawn from a PC range that wraps the table four times (so the
+// small tables alias), plus a probe at a fresh PC each step.
+TEST_P(PackedTournament, MatchesByteReferenceOnEveryPrediction)
+{
+    const uint32_t entries = GetParam();
+    for (const uint64_t seed : {1ull, 2ull, 3ull}) {
+        TournamentPredictor packed(entries);
+        ReferenceTournament ref(entries);
+        Rng rng(seed);
+        const uint64_t pc_span = 16ull * entries + 64;
+        std::vector<uint64_t> pcs(512);
+        for (uint64_t &pc : pcs)
+            pc = 0x400000 + rng.nextRange(pc_span);
+        std::vector<uint32_t> visits(pcs.size(), 0);
+        for (int i = 0; i < 100000; ++i) {
+            const size_t site = rng.nextRange(pcs.size());
+            const uint64_t pc = pcs[site];
+            const uint32_t visit = visits[site]++;
+            bool taken;
+            switch (site % 4) {
+            case 0:
+                taken = rng.nextBool(0.95);
+                break;
+            case 1:
+                taken = rng.nextBool(0.05);
+                break;
+            case 2:
+                taken = visit % 3 != 2;
+                break;
+            default:
+                taken = rng.nextBool(0.5);
+                break;
+            }
+            ASSERT_EQ(packed.predict(pc), ref.predict(pc))
+                << "entries " << entries << " seed " << seed
+                << " step " << i;
+            packed.update(pc, taken);
+            ref.update(pc, taken);
+            const uint64_t probe = 0x400000 + rng.nextRange(pc_span);
+            ASSERT_EQ(packed.predict(probe), ref.predict(probe))
+                << "entries " << entries << " seed " << seed
+                << " probe after step " << i;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Entries, PackedTournament,
+                         ::testing::Values(1u, 2u, 4u, 4096u, 1u << 17));
 
 TEST(Predictors, Names)
 {
