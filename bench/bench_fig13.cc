@@ -61,8 +61,10 @@ printTable(const WorkloadProfile &prof,
     std::vector<std::string> cols = {
         "L4 (paper-eq)", "L4 (sim)", "Heap hit", "Shard hit",
         "Comb. hit", "Heap MPKI", "Shard MPKI", "Comb. MPKI"};
-    if (banded)
+    if (banded) {
         cols.push_back("L4-access band (95%)");
+        cols.push_back("Note");
+    }
     Table t(cols);
     for (size_t j = 0; j < sizes.size(); ++j) {
         const SystemResult &r = results[j];
@@ -85,6 +87,8 @@ printTable(const WorkloadProfile &prof,
                           r.l3MissBandLo(), r.l3MissBandHi(),
                           100.0 * r.bandRelHalfWidth());
             row.push_back(buf);
+            row.push_back(sim >= bench::kColdStartFromBytes
+                              ? "cold-start estimate" : "");
         }
         t.addRow(row);
     }
@@ -161,7 +165,7 @@ runFig13(const bench::Args &args)
     const std::vector<SystemResult> nom_results =
         runWorkloadSweep(nominal, plt1, nom_options, nom_control);
     printTable(nominal, nom_sizes, nom_results, true);
-    std::printf("\n");
+    bench::printColdStartNote();
 
     for (size_t i = 0; i < sizes.size(); ++i)
         addRow(art, "scaled", sizes[i], sizes[i] * prof.sweepScale,

@@ -66,8 +66,10 @@ printSweepTable(const WorkloadProfile &prof,
     std::vector<std::string> cols = {
         "L3 (paper-eq)", "L3 (sim)", "Code hit", "Heap hit",
         "Shard hit", "Comb. hit", "Comb. MPKI"};
-    if (banded)
+    if (banded) {
         cols.push_back("LLC miss band (95%)");
+        cols.push_back("Note");
+    }
     Table t(cols);
     for (size_t i = 0; i < sizes.size(); ++i) {
         const SystemResult &r = results[i];
@@ -85,6 +87,8 @@ printSweepTable(const WorkloadProfile &prof,
                           r.l3MissBandLo(), r.l3MissBandHi(),
                           100.0 * r.bandRelHalfWidth());
             row.push_back(buf);
+            row.push_back(sim >= bench::kColdStartFromBytes
+                              ? "cold-start estimate" : "");
         }
         t.addRow(row);
     }
@@ -250,7 +254,7 @@ runFig6bc(const bench::Args &args)
     const std::vector<SystemResult> nom_results =
         runWorkloadSweep(nominal, plt1, nom_options, nom_control);
     printSweepTable(nominal, nom_sizes, nom_results, true);
-    std::printf("\n");
+    bench::printColdStartNote();
 
     for (size_t i = 0; i < sizes.size(); ++i)
         addSweepRow(art, "scaled", sizes[i],

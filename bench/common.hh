@@ -69,6 +69,23 @@ SweepControl sweepControl(const Args &args, uint64_t total_records);
 SweepControl clusteredControl(const Args &args, uint64_t total_records);
 
 /**
+ * Smallest cache at which a nominal-scale capacity row
+ * (WorkloadProfile::atNominalScale, clustered plan over a 36 M-record
+ * budget) is a cold-start estimate: replayed contiguously at that
+ * budget, 96% of a 256 MiB LLC's measured data misses and all of a
+ * 1-2 GiB one's are first touches, which no capacity removes, and the
+ * 1 GiB hit rate is still rising at 400 M records. The row's band
+ * bounds sampling error against that cold replay, not warm-up bias.
+ */
+constexpr uint64_t kColdStartFromBytes = uint64_t(256) << 20;
+
+/**
+ * Print the note under a nominal-scale table whose rows from
+ * kColdStartFromBytes up read "cold-start estimate".
+ */
+void printColdStartNote();
+
+/**
  * The standard driver preamble: cores + record budgets, each
  * scaledRecords() of its nominal value (warmup 0 = half the measure
  * budget, the repo-wide default).

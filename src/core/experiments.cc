@@ -97,31 +97,15 @@ runWorkloadSweep(const WorkloadProfile &profile,
         job_group[i] = it->second;
     }
 
-    // Each group owns an independent deterministic source, so
-    // generation is itself parallel across groups. A synthetic source
-    // never runs dry: a group's buffer ends up holding exactly
-    // `records` records.
-    for (Group &g : groups)
-        g.trace = std::make_shared<BufferedTrace>(g.records);
-    const auto generate = [&](size_t gi) {
-        SyntheticSearchTrace src(profile, groups[gi].threads);
-        groups[gi].trace->generate(src);
-    };
-
     // What each job replays: its group's buffer under a plan, one per
     // distinct (group, warmup, measure) and shared by every job with
     // that key. Exact jobs take the contiguous plan of their budget.
     // A representative plan covers the first warmup+measure records
     // whatever the split, so a planned job's budget counts as
-    // {0, total}. A clustered plan reads the whole trace for its
-    // window signatures, so a clustered sweep generates every group
-    // first and builds its plans in parallel; the other plans need
-    // only the record counts.
+    // {0, total}.
     const bool planned = control.planned();
     const bool clustered =
         planned && control.policy == SamplingPolicy::kClustered;
-    if (clustered)
-        runParallelJobs(groups.size(), control.threads, generate);
     using PlanKey = std::tuple<size_t, uint64_t, uint64_t>;
     std::map<PlanKey, size_t> plan_of;
     std::vector<PlanKey> plan_keys;
@@ -135,18 +119,6 @@ runWorkloadSweep(const WorkloadProfile &profile,
             plan_keys.push_back(key);
         job_plan[i] = it->second;
     }
-    std::vector<SamplingPlan> plans(plan_keys.size());
-    runParallelJobs(plan_keys.size(), clustered ? control.threads : 1,
-                    [&](size_t pi) {
-        const auto [g, warmup, measure] = plan_keys[pi];
-        const uint64_t total = warmup + measure;
-        if (!planned)
-            plans[pi] = contiguousPlan(warmup, measure);
-        else if (clustered)
-            plans[pi] = buildSweepPlan(*groups[g].trace, total, control);
-        else
-            plans[pi] = buildUniformPlan(total, control.rep);
-    });
     std::vector<SystemConfig> cfgs;
     for (const RunOptions &opt : options)
         cfgs.push_back(makeSystemConfig(profile, platform, opt));
@@ -181,12 +153,53 @@ runWorkloadSweep(const WorkloadProfile &profile,
         return true;
     });
 
+    // A group's buffer is read by its classes' private passes and its
+    // direct replays, and nothing else, so it recycles each chunk once
+    // they have all passed it. Each group owns an independent
+    // deterministic source, so generation is itself parallel across
+    // groups. A synthetic source never runs dry: a group's buffer ends
+    // up holding exactly `records` records.
+    std::vector<uint32_t> readers(groups.size(), 0);
+    for (const std::vector<size_t> &cls : classes)
+        ++readers[job_group[cls[0]]];
+    for (const size_t i : direct)
+        ++readers[job_group[i]];
+    for (size_t g = 0; g < groups.size(); ++g) {
+        groups[g].trace = std::make_shared<BufferedTrace>(
+            groups[g].records, BufferedTrace::kDefaultChunkRecords,
+            readers[g]);
+    }
+    const auto generate = [&](size_t gi) {
+        SyntheticSearchTrace src(profile, groups[gi].threads);
+        groups[gi].trace->generate(src);
+    };
+
+    // A clustered plan reads the whole trace for its window
+    // signatures, before any reader releases a chunk, so a clustered
+    // sweep generates every group first and builds its plans in
+    // parallel; the other plans need only the record counts.
+    if (clustered)
+        runParallelJobs(groups.size(), control.threads, generate);
+    std::vector<SamplingPlan> plans(plan_keys.size());
+    runParallelJobs(plan_keys.size(), clustered ? control.threads : 1,
+                    [&](size_t pi) {
+        const auto [g, warmup, measure] = plan_keys[pi];
+        const uint64_t total = warmup + measure;
+        if (!planned)
+            plans[pi] = contiguousPlan(warmup, measure);
+        else if (clustered)
+            plans[pi] = buildSweepPlan(*groups[g].trace, total, control);
+        else
+            plans[pi] = buildUniformPlan(total, control.rep);
+    });
+
     // Generation, then the private passes (a class's first job stands
     // for it) and direct replays, in parallel: each replay follows its
-    // group's generation chunk by chunk. runParallelJobs hands jobs out
-    // in index order, so every generation job has started before any
-    // job that reads its buffer, and generation never waits: no thread
-    // count can deadlock. Then every shared pass, each class's
+    // group's generation chunk by chunk, as one of the buffer's
+    // Readers. runParallelJobs hands jobs out in index order, so every
+    // generation job has started before any job that reads its buffer,
+    // and generation never waits: no thread count can deadlock. Then,
+    // with the buffers unmapped, every shared pass, each class's
     // recording freed when its last shared pass ends.
     const size_t gen_jobs = clustered ? 0 : groups.size();
     std::vector<SystemResult> results(options.size());
@@ -209,6 +222,7 @@ runWorkloadSweep(const WorkloadProfile &profile,
         SystemSimulator sim(cfgs[i]);
         results[i] = sim.runPlanned(trace, plan);
     });
+    groups.clear();
 
     std::vector<std::pair<size_t, size_t>> passes; // (class, job)
     std::vector<std::atomic<size_t>> left(classes.size());

@@ -68,7 +68,10 @@ SystemResult runWorkload(const WorkloadProfile &profile,
  * workload/platform concurrently. The trace is generated ONCE per
  * distinct hardware-thread count (traces depend on cores x smtWays)
  * into a shared BufferedTrace, and the replays follow its generation
- * chunk by chunk. Variations that differ only below the L2 (LLC, L4,
+ * chunk by chunk. The buffer knows how many replays read it and
+ * recycles each chunk once all of them have passed it, so from two
+ * threads on it holds only what lies between generation and its
+ * slowest reader. Variations that differ only below the L2 (LLC, L4,
  * core model) and have a non-inclusive LLC share one private-level
  * replay of it (recordPrivateHalf), then each runs only its shared
  * half (replaySharedHalf) on a worker thread; the rest replay the

@@ -190,8 +190,9 @@ SystemSimulator::runPlanned(const BufferedTrace &trace,
     const auto step_span = [this](const TraceRecord *rec, size_t n) {
         stepSpan(rec, n);
     };
+    BufferedTrace::Reader reader(trace);
     return walkPlan(plan, [&](uint64_t begin, uint64_t count) {
-        return bufferedSpans(trace, begin, count, step_span);
+        return bufferedSpans(reader, begin, count, step_span);
     });
 }
 
@@ -210,10 +211,11 @@ recordPrivateHalf(const SystemConfig &cfg, const BufferedTrace &trace,
 {
     PrivateSystem priv(cfg);
     PrivateRecording rec;
+    BufferedTrace::Reader reader(trace);
     const auto replay = [&](uint64_t begin, uint64_t count) {
         uint64_t events = 0;
         const uint64_t done = bufferedSpans(
-            trace, begin, count, [&](const TraceRecord *r, size_t n) {
+            reader, begin, count, [&](const TraceRecord *r, size_t n) {
                 for (size_t i = 0; i < n; ++i) {
                     const uint8_t out = priv.step(
                         r[i], [&](const SharedRequests &q) {

@@ -299,7 +299,8 @@ class SystemSimulator
     /**
      * Chunked-replay variant over a materialized trace: bit-identical
      * counters to run(TraceSource&) on a fresh source producing the
-     * same records, with no generation cost or staging copies.
+     * same records, with no generation cost or staging copies. Like
+     * runPlanned, it is one of the buffer's Readers.
      */
     SystemResult run(const BufferedTrace &trace, uint64_t warmup,
                      uint64_t measure);
@@ -316,7 +317,9 @@ class SystemSimulator
      * default charges their last bits, and IPC's with them, can differ
      * from the contiguous replay's; they match bit for bit only when
      * every charge is dyadic, as in
-     * System.PlannedReplayWithEveryWindowEqualsContiguousRun.
+     * System.PlannedReplayWithEveryWindowEqualsContiguousRun. The
+     * replay is one of @p trace's Readers: it releases each chunk as
+     * it moves past it, and the rest when it returns.
      */
     SystemResult runPlanned(const BufferedTrace &trace,
                             const SamplingPlan &plan);
@@ -345,10 +348,9 @@ bool samePrivateHalf(const SystemConfig &a, const SystemConfig &b);
 
 /**
  * Append-only sequence kept in chunks of at most 1 MiB, read back in
- * order. Growing it never copies. Its blocks also stay below a
- * BufferedTrace chunk: glibc raises its mmap threshold to the largest
- * block freed, and one large stream buffer freed per sweep would move
- * every later trace chunk onto the fragmenting heap.
+ * order. Growing it never copies, so it never holds a grown buffer
+ * and its copy at once, and freeing it returns 1 MiB blocks rather
+ * than one block as large as the whole stream.
  */
 template <class T>
 class ChunkedLog
@@ -425,7 +427,7 @@ struct PrivateRecording
 
 /**
  * Replay @p cfg's private half over @p trace once: @p plan's ranges
- * in replayPlan's order.
+ * in replayPlan's order, as one of @p trace's Readers.
  */
 PrivateRecording recordPrivateHalf(const SystemConfig &cfg,
                                    const BufferedTrace &trace,

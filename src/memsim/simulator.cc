@@ -8,9 +8,10 @@ SimResult
 runTrace(const BufferedTrace &trace, CacheHierarchy &hier,
          uint64_t warmup, uint64_t measure)
 {
+    BufferedTrace::Reader reader(trace);
     const auto replay = [&](uint64_t begin, uint64_t count) {
         return bufferedSpans(
-            trace, begin, count, [&](const TraceRecord *rec, size_t n) {
+            reader, begin, count, [&](const TraceRecord *rec, size_t n) {
                 for (size_t i = 0; i < n; ++i) {
                     const TraceRecord &r = rec[i];
                     hier.accessInstr(r.tid, r.pc);

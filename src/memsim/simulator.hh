@@ -4,9 +4,10 @@
  * cache and coherence counters and the sampling marks every replay
  * returns (cpu/system.hh's SystemResult extends it). pullSpans streams
  * a TraceSource through a fixed staging buffer and bufferedSpans hands
- * over a BufferedTrace's chunks; SystemSimulator, the one simulator,
- * feeds its per-record loop from both. runTrace is a cache-only
- * replay kept for the benchmark harness's layer ladder.
+ * over a BufferedTrace's chunks through one of its Readers;
+ * SystemSimulator, the one simulator, feeds its per-record loop from
+ * both. runTrace is a cache-only replay kept for the benchmark
+ * harness's layer ladder.
  */
 
 #ifndef WSEARCH_MEMSIM_SIMULATOR_HH
@@ -125,10 +126,11 @@ struct SimResult
 /**
  * Replay @p warmup records of @p trace (stats discarded), then
  * @p measure records, through @p hier alone: no predictors, TLBs or
- * core model. Its cache counters equal SystemSimulator::run's on the
- * same buffer. It stays only because perfbench/layers.cc times it as
- * the cache-only rungs of its layer ladder, and the benchmark harness
- * is fixed: everything else replays through SystemSimulator.
+ * core model, as one of the buffer's Readers. Its cache counters
+ * equal SystemSimulator::run's on the same buffer. It stays only
+ * because perfbench/layers.cc times it as the cache-only rungs of its
+ * layer ladder, and the benchmark harness is fixed: everything else
+ * replays through SystemSimulator.
  */
 SimResult runTrace(const BufferedTrace &trace, CacheHierarchy &hier,
                    uint64_t warmup, uint64_t measure);
@@ -162,19 +164,21 @@ pullSpans(TraceSource &src, uint64_t count, SpanFn &&span)
 }
 
 /**
- * Hand records [@p begin, @p begin + @p count) of @p trace to
+ * Hand records [@p begin, @p begin + @p count) of @p reader's buffer to
  * @p span(const TraceRecord *, size_t) one contiguous chunk at a time.
+ * The reader releases each chunk it moves past (BufferedTrace::Reader),
+ * so successive calls must not move back.
  * @return records handed over (less when the buffer ends).
  */
 template <class SpanFn>
 uint64_t
-bufferedSpans(const BufferedTrace &trace, uint64_t begin, uint64_t count,
-              SpanFn &&span)
+bufferedSpans(BufferedTrace::Reader &reader, uint64_t begin,
+              uint64_t count, SpanFn &&span)
 {
     uint64_t done = 0;
     while (done < count) {
         const BufferedTrace::Span s =
-            trace.spanAt(begin + done, count - done);
+            reader.spanAt(begin + done, count - done);
         if (s.count == 0)
             break;
         span(s.data, s.count);

@@ -100,31 +100,27 @@ EngineTraceSource::refillThread(uint32_t tid)
     }
 }
 
-void
-EngineTraceSource::emitRecord(TraceRecord &rec, uint32_t tid)
+TraceRecord
+EngineTraceSource::emitRecord(uint32_t tid)
 {
     ThreadState &t = threads_[tid];
     const FetchedInstr fi = t.code->next();
-    rec.pc = fi.pc;
-    rec.tid = static_cast<uint16_t>(tid);
-    rec.branch = fi.isBranch
+    const BranchKind branch = fi.isBranch
         ? (fi.taken ? BranchKind::Taken : BranchKind::NotTaken)
         : BranchKind::NotBranch;
-    rec.target = fi.target;
-    rec.op = MemOp::None;
-    rec.addr = 0;
-    rec.kind = AccessKind::Heap;
+    const uint16_t id = static_cast<uint16_t>(tid);
 
     if (t.codeGap > 0) {
         --t.codeGap;
-        return;
+        return TraceRecord::make(fi.pc, id, 0, AccessKind::Heap,
+                                 MemOp::None, branch);
     }
     if (t.pending.empty())
         refillThread(tid);
     PendingTouch &front = t.pending.front();
-    rec.op = front.write ? MemOp::Store : MemOp::Load;
-    rec.addr = front.addr + t.chunkPos;
-    rec.kind = front.kind;
+    const TraceRecord rec = TraceRecord::make(
+        fi.pc, id, front.addr + t.chunkPos, front.kind,
+        front.write ? MemOp::Store : MemOp::Load, branch);
     t.chunkPos += cfg_.touchGranularity;
     if (t.chunkPos >= front.bytes) {
         t.pending.pop_front();
@@ -133,13 +129,14 @@ EngineTraceSource::emitRecord(TraceRecord &rec, uint32_t tid)
     const uint64_t span = std::max<uint64_t>(
         1, static_cast<uint64_t>(2.0 * cfg_.codeGapMean));
     t.codeGap = static_cast<uint32_t>(t.rng.nextRange(span + 1));
+    return rec;
 }
 
 size_t
 EngineTraceSource::fill(TraceRecord *buf, size_t max)
 {
     for (size_t i = 0; i < max; ++i) {
-        emitRecord(buf[i], rr_);
+        buf[i] = emitRecord(rr_);
         rr_ = rr_ + 1 == cfg_.numThreads ? 0 : rr_ + 1;
     }
     return max;

@@ -89,7 +89,7 @@ class EngineTraceSource : public TraceSource
     };
 
     void refillThread(uint32_t tid);
-    void emitRecord(TraceRecord &rec, uint32_t tid);
+    TraceRecord emitRecord(uint32_t tid);
 
     const IndexShard &shard_;
     EngineTraceConfig cfg_;

@@ -109,48 +109,44 @@ SyntheticSearchTrace::stackAddr(ThreadState &t, uint32_t tid)
     return vaddr::kStackBase + tid * vaddr::kStackStride + slot * 8;
 }
 
-void
-SyntheticSearchTrace::generateOne(TraceRecord &rec, uint32_t tid)
+inline TraceRecord
+SyntheticSearchTrace::generateOne(uint32_t tid)
 {
     ThreadState &t = threads_[tid];
     const FetchedInstr fi = t.code->next();
-    rec.pc = fi.pc;
-    rec.tid = static_cast<uint16_t>(tid);
-    rec.branch = fi.isBranch
+    const BranchKind branch = fi.isBranch
         ? (fi.taken ? BranchKind::Taken : BranchKind::NotTaken)
         : BranchKind::NotBranch;
-    rec.target = fi.target;
+    const uint16_t id = static_cast<uint16_t>(tid);
 
     const double u = t.rng.nextDouble();
-    if (u < prof_.loadFrac + prof_.storeFrac) {
-        rec.op = u < prof_.loadFrac ? MemOp::Load : MemOp::Store;
-        const double v = t.rng.nextDouble();
-        if (v < prof_.heapFrac) {
-            rec.kind = AccessKind::Heap;
-            rec.addr = heapAddr(t, tid);
-        } else if (v < prof_.heapFrac + prof_.shardFrac) {
-            rec.kind = AccessKind::Shard;
-            rec.addr = shardAddr(t);
-        } else if (v < prof_.heapFrac + prof_.shardFrac +
-                       prof_.stackFrac) {
-            rec.kind = AccessKind::Stack;
-            rec.addr = stackAddr(t, tid);
-        } else {
-            rec.kind = AccessKind::Heap;
-            rec.addr = heapAddr(t, tid);
-        }
-    } else {
-        rec.op = MemOp::None;
-        rec.addr = 0;
-        rec.kind = AccessKind::Heap;
+    if (u >= prof_.loadFrac + prof_.storeFrac) {
+        return TraceRecord::make(fi.pc, id, 0, AccessKind::Heap,
+                                 MemOp::None, branch);
     }
+    const MemOp op = u < prof_.loadFrac ? MemOp::Load : MemOp::Store;
+    const double v = t.rng.nextDouble();
+    AccessKind kind = AccessKind::Heap;
+    uint64_t addr;
+    if (v < prof_.heapFrac) {
+        addr = heapAddr(t, tid);
+    } else if (v < prof_.heapFrac + prof_.shardFrac) {
+        kind = AccessKind::Shard;
+        addr = shardAddr(t);
+    } else if (v < prof_.heapFrac + prof_.shardFrac + prof_.stackFrac) {
+        kind = AccessKind::Stack;
+        addr = stackAddr(t, tid);
+    } else {
+        addr = heapAddr(t, tid);
+    }
+    return TraceRecord::make(fi.pc, id, addr, kind, op, branch);
 }
 
 size_t
 SyntheticSearchTrace::fill(TraceRecord *buf, size_t max)
 {
     for (size_t i = 0; i < max; ++i) {
-        generateOne(buf[i], rr_);
+        buf[i] = generateOne(rr_);
         rr_ = rr_ + 1 == numThreads_ ? 0 : rr_ + 1;
     }
     return max;

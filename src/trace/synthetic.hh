@@ -56,7 +56,9 @@ class SyntheticSearchTrace : public TraceSource
         ThreadState() : rng(0) {}
     };
 
-    void generateOne(TraceRecord &rec, uint32_t tid);
+    /** Inlined into fill(): GCC otherwise keeps it out of line, and a
+     *  call per record slows generation by ~10%. */
+    [[gnu::always_inline]] TraceRecord generateOne(uint32_t tid);
     uint64_t heapAddr(ThreadState &t, uint32_t tid);
     uint64_t shardAddr(ThreadState &t);
     uint64_t stackAddr(ThreadState &t, uint32_t tid);

@@ -10,12 +10,13 @@ namespace wsearch {
 namespace {
 
 /** Fixed 32-byte on-disk record (host endianness; little-endian on
- *  every supported platform). */
+ *  every supported platform). The third word once held a branch
+ *  target: it is written as 0 and ignored on read. */
 struct DiskRecord
 {
     uint64_t pc;
     uint64_t addr;
-    uint64_t target;
+    uint64_t unused;
     uint16_t tid;
     uint8_t kind;
     uint8_t op;
@@ -30,7 +31,6 @@ toDisk(const TraceRecord &r)
     DiskRecord d{};
     d.pc = r.pc;
     d.addr = r.addr;
-    d.target = r.target;
     d.tid = r.tid;
     d.kind = static_cast<uint8_t>(r.kind);
     d.op = static_cast<uint8_t>(r.op);
@@ -42,24 +42,23 @@ toDisk(const TraceRecord &r)
 constexpr size_t kDecodeRecords = 256;
 
 /**
- * Decode @p d into @p r. Returns false, leaving @p r unspecified,
- * when an enum byte is out of range: a hostile or corrupt file must
- * not hand the simulator a kind that indexes past its counters.
+ * Decode @p d into @p r. Returns false, leaving @p r untouched, when
+ * an enum byte is out of range or an address does not fit a record:
+ * a hostile or corrupt file must not hand the simulator a kind that
+ * indexes past its counters, nor an address cut to its low 48 bits.
  */
 bool
 fromDisk(const DiskRecord &d, TraceRecord &r)
 {
     if (d.kind >= kNumAccessKinds ||
         d.op > static_cast<uint8_t>(MemOp::Store) ||
-        d.branch > static_cast<uint8_t>(BranchKind::Taken))
+        d.branch > static_cast<uint8_t>(BranchKind::Taken) ||
+        d.pc >= vaddr::kLimit || d.addr >= vaddr::kLimit)
         return false;
-    r.pc = d.pc;
-    r.addr = d.addr;
-    r.target = d.target;
-    r.tid = d.tid;
-    r.kind = static_cast<AccessKind>(d.kind);
-    r.op = static_cast<MemOp>(d.op);
-    r.branch = static_cast<BranchKind>(d.branch);
+    r = TraceRecord::make(d.pc, d.tid, d.addr,
+                          static_cast<AccessKind>(d.kind),
+                          static_cast<MemOp>(d.op),
+                          static_cast<BranchKind>(d.branch));
     return true;
 }
 

@@ -4,7 +4,10 @@
  * instrumented engine) to disk and replay it later, the workflow the
  * paper used with its Pin traces. The format is a fixed 32-byte
  * little-endian record with a small header, so traces are portable
- * and seekable.
+ * and seekable. A record on disk is twice the size of a TraceRecord:
+ * its pc and addr are full 64-bit words and a third word, once a
+ * branch target, is written as 0 and ignored, so files written before
+ * records shrank to 16 bytes still read.
  */
 
 #ifndef WSEARCH_TRACE_TRACE_FILE_HH
@@ -63,9 +66,10 @@ class TraceFileReader : public TraceSource
     /**
      * Opens @p path; check ok() (bad magic also fails). Replay stops
      * at the first record with an out-of-range kind, op or branch
-     * byte, or where the file ends before its header's recordCount:
-     * fill() returns the valid records before that point, then 0, and
-     * ok() turns false.
+     * byte, or a pc or addr at or above vaddr::kLimit (a TraceRecord
+     * holds 48 bits of each), or where the file ends before its
+     * header's recordCount: fill() returns the valid records before
+     * that point, then 0, and ok() turns false.
      */
     explicit TraceFileReader(const std::string &path);
     ~TraceFileReader() override;

@@ -76,6 +76,47 @@ TEST(EngineTrace, ProducesValidRecords)
     EXPECT_GT(src.queriesExecuted(), 0u);
 }
 
+TEST(EngineTrace, AddressesFitARecord)
+{
+    // Every engine segment ends below the next one, and the last below
+    // vaddr::kLimit, for as many threads as a record's tid can name; a
+    // record keeps 48 bits of each address, so one past the limit
+    // would wrap into another segment instead.
+    constexpr uint64_t kMaxThreads = 65536;
+    EXPECT_LE(engine_vaddr::kQueryCacheBase +
+                  engine_vaddr::kQueryCacheBuckets *
+                      engine_vaddr::kQueryCacheBucketBytes,
+              vaddr::kShardBase);
+    EXPECT_LE(engine_vaddr::scratchAddr(kMaxThreads, 0),
+              engine_vaddr::kQueryCacheBase);
+    EXPECT_LE(engine_vaddr::stackAddr(kMaxThreads, 0), vaddr::kLimit);
+
+    constexpr uint32_t kThreads = 4;
+    ProceduralIndex shard(smallShard());
+    EngineTraceSource src(shard, smallTraceConfig(kThreads));
+    for (const TraceRecord &r : collect(src, 100000)) {
+        ASSERT_LT(r.pc, vaddr::kHeapBase);
+        if (!r.hasData())
+            continue;
+        switch (r.kind) {
+          case AccessKind::Heap:
+            ASSERT_GE(r.addr, vaddr::kHeapBase);
+            ASSERT_LT(r.addr, vaddr::kShardBase);
+            break;
+          case AccessKind::Shard:
+            ASSERT_GE(r.addr, vaddr::kShardBase);
+            ASSERT_LT(r.addr, vaddr::kStackBase);
+            break;
+          case AccessKind::Stack:
+            ASSERT_GE(r.addr, vaddr::kStackBase);
+            ASSERT_LT(r.addr, engine_vaddr::stackAddr(kThreads, 0));
+            break;
+          default:
+            FAIL();
+        }
+    }
+}
+
 TEST(EngineTrace, Deterministic)
 {
     ProceduralIndex shard(smallShard());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -44,6 +46,177 @@ class CountingSource : public TraceSource
     size_t maxFill_;
     uint64_t pos_ = 0;
 };
+
+/**
+ * A CountingSource that calls @p hook(pos) at the start of every fill,
+ * on the generating thread, with the position of the first record the
+ * fill produces.
+ */
+class HookedSource : public CountingSource
+{
+  public:
+    HookedSource(uint64_t total, std::function<void(uint64_t)> hook)
+        : CountingSource(total, total), hook_(std::move(hook))
+    {
+    }
+
+    size_t
+    fill(TraceRecord *buf, size_t max) override
+    {
+        hook_(at_);
+        const size_t n = CountingSource::fill(buf, max);
+        at_ += n;
+        return n;
+    }
+
+  private:
+    std::function<void(uint64_t)> hook_;
+    uint64_t at_ = 0;
+};
+
+/** Records of a span equal CountingSource's from @p begin on. */
+void
+expectCounting(const BufferedTrace::Span &s, uint64_t begin)
+{
+    for (size_t i = 0; i < s.count; ++i)
+        ASSERT_EQ(s.data[i].pc, 0x400000 + (begin + i) * 4) << begin + i;
+}
+
+/** One page of records per chunk: each chunk is its own mapping. */
+constexpr size_t kPageChunk = 256;
+
+TEST(BufferedTrace, RecyclesAChunkOnlyAfterItsLastReader)
+{
+    constexpr uint64_t kChunks = 4;
+    BufferedTrace buf(kChunks * kPageChunk, kPageChunk, 3);
+    BufferedTrace::Reader a(buf), b(buf), c(buf);
+    // Mapped storage as each chunk fills; chunk k took its storage
+    // just before.
+    std::vector<size_t> mapped;
+    HookedSource src(kChunks * kPageChunk, [&](uint64_t pos) {
+        mapped.push_back(buf.mappedChunks());
+        if (pos == 1 * kPageChunk) {
+            // Two of three readers pass chunk 0: it stays held, so
+            // chunk 2 maps new storage.
+            a.passTo(kPageChunk);
+            b.passTo(kPageChunk);
+        } else if (pos == 2 * kPageChunk) {
+            // The third releases it: chunk 3 gets chunk 0's storage.
+            c.passTo(kPageChunk);
+        }
+    });
+    buf.generate(src);
+    EXPECT_EQ(mapped, (std::vector<size_t>{1, 2, 3, 3}));
+    EXPECT_EQ(buf.mappedChunks(), 3u);
+
+    // The recycled storage holds chunk 2's records, for every reader.
+    for (BufferedTrace::Reader *r : {&a, &b, &c}) {
+        for (uint64_t pos = kPageChunk; pos < buf.size();) {
+            const BufferedTrace::Span s = r->spanAt(pos, kPageChunk);
+            expectCounting(s, pos);
+            pos += s.count;
+        }
+    }
+}
+
+TEST(BufferedTrace, AReaderThatEndsEarlyReleasesTheRest)
+{
+    constexpr uint64_t kChunks = 6;
+    BufferedTrace buf(kChunks * kPageChunk, kPageChunk, 1);
+    auto reader = std::make_unique<BufferedTrace::Reader>(buf);
+    HookedSource src(kChunks * kPageChunk, [&](uint64_t pos) {
+        if (pos == kPageChunk) {
+            expectCounting(reader->spanAt(0, kPageChunk), 0);
+            reader.reset(); // ends after one chunk of six
+        }
+    });
+    buf.generate(src);
+    // Chunk 0 was recycled when its only reader ended, and every later
+    // chunk as soon as it was published: chunk 0's storage and the one
+    // chunk 1 took while the reader still held chunk 0 served all six.
+    EXPECT_EQ(buf.mappedChunks(), 2u);
+    EXPECT_EQ(buf.size(), kChunks * kPageChunk);
+}
+
+TEST(BufferedTrace, AChunkEveryReaderSkippedIsRecycledOncePublished)
+{
+    // Both readers skip chunks 0-3, as a sampled plan's gap: each is
+    // recycled as soon as it is published, and the next reuses it.
+    constexpr uint64_t kChunks = 6, kSkip = 4;
+    BufferedTrace buf(kChunks * kPageChunk, kPageChunk, 2);
+    BufferedTrace::Reader a(buf), b(buf);
+    a.passTo(kSkip * kPageChunk);
+    b.passTo(kSkip * kPageChunk);
+    CountingSource src(kChunks * kPageChunk, kPageChunk);
+    buf.generate(src);
+    // Chunks 0-4 shared one storage; chunk 5 needed a second while
+    // both readers still held chunk 4.
+    EXPECT_EQ(buf.mappedChunks(), 2u);
+    for (BufferedTrace::Reader *r : {&a, &b}) {
+        for (uint64_t pos = kSkip * kPageChunk; pos < buf.size();) {
+            const BufferedTrace::Span s = r->spanAt(pos, kPageChunk);
+            expectCounting(s, pos);
+            pos += s.count;
+        }
+    }
+}
+
+TEST(BufferedTrace, StorageStaysWithinTheReadersLag)
+{
+    // The generator may run at most kLag chunks ahead of what the
+    // reader has released. Held chunks are then the lag, the chunk
+    // the reader is in and the chunk being generated: kLag + 2.
+    constexpr uint64_t kChunks = 64, kLag = 2;
+    for (const uint32_t readers : {1u, 2u}) {
+        SCOPED_TRACE("readers=" + std::to_string(readers));
+        BufferedTrace buf(kChunks * kPageChunk, kPageChunk, readers);
+        std::vector<std::atomic<uint64_t>> released(readers);
+        HookedSource src(kChunks * kPageChunk, [&](uint64_t pos) {
+            for (const std::atomic<uint64_t> &r : released) {
+                while (r.load(std::memory_order_acquire) + kLag * kPageChunk <
+                       pos)
+                    std::this_thread::yield();
+            }
+        });
+        std::vector<std::thread> threads;
+        for (uint32_t k = 0; k < readers; ++k) {
+            threads.emplace_back([&, k] {
+                BufferedTrace::Reader r(buf);
+                for (uint64_t pos = 0;;) {
+                    const BufferedTrace::Span s = r.spanAt(pos, 100);
+                    if (s.count == 0)
+                        break;
+                    // Every chunk before pos's is released now.
+                    released[k].store(pos - pos % kPageChunk,
+                                      std::memory_order_release);
+                    expectCounting(s, pos);
+                    pos += s.count;
+                }
+                released[k].store(~uint64_t(0) / 2,
+                                  std::memory_order_release);
+            });
+        }
+        buf.generate(src);
+        for (std::thread &t : threads)
+            t.join();
+        EXPECT_LE(buf.mappedChunks(), kLag + 2);
+        EXPECT_EQ(buf.size(), kChunks * kPageChunk);
+    }
+}
+
+TEST(BufferedTraceDeathTest, ReadingAReleasedChunkPanics)
+{
+    CountingSource src(4 * kPageChunk, kPageChunk);
+    BufferedTrace buf(4 * kPageChunk, kPageChunk, 1);
+    buf.generate(src);
+    BufferedTrace::Reader r(buf);
+    r.passTo(2 * kPageChunk);
+    // The reader itself moving back, and anyone after the last reader
+    // released the chunk.
+    EXPECT_DEATH(r.spanAt(kPageChunk, 10), "assertion failed");
+    EXPECT_DEATH(buf.chunk(1), "assertion failed");
+    EXPECT_EQ(buf.chunk(2).count, kPageChunk); // not released yet
+}
 
 TEST(BufferedTrace, MaterializesRequestedRecordsInOrder)
 {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "stats/working_set.hh"
@@ -52,6 +53,58 @@ TEST(Synthetic, AddressesLandInSegmentRegions)
             break;
           default:
             FAIL() << "unexpected kind";
+        }
+    }
+}
+
+TEST(Synthetic, EveryProfileEmitsAddressesThatFit)
+{
+    // A record keeps 48 bits of each address, so one past vaddr::kLimit
+    // would wrap into another segment: every address landing in its own
+    // segment shows that none was cut.
+    std::vector<WorkloadProfile> profiles = {
+        WorkloadProfile::s1Leaf(),        WorkloadProfile::s2Leaf(),
+        WorkloadProfile::s3Leaf(),        WorkloadProfile::s1Root(),
+        WorkloadProfile::s2Root(),        WorkloadProfile::s3Root(),
+        WorkloadProfile::specPerlbench(), WorkloadProfile::specMcf(),
+        WorkloadProfile::specGobmk(),     WorkloadProfile::specOmnetpp(),
+        WorkloadProfile::cloudsuiteWebSearch(),
+    };
+    for (const WorkloadProfile &sweep : {WorkloadProfile::s1LeafSweep(),
+                                         WorkloadProfile::s1LeafCapacitySweep()}) {
+        profiles.push_back(sweep);
+        profiles.push_back(sweep.atNominalScale());
+    }
+    constexpr uint32_t kThreads = 16;
+    for (const WorkloadProfile &p : profiles) {
+        SCOPED_TRACE(p.name + " x" + std::to_string(p.sweepScale));
+        ASSERT_LE(vaddr::kHeapBase + p.heapWorkingSetBytes,
+                  vaddr::kShardBase);
+        ASSERT_LE(vaddr::kShardBase + p.shardSpanBytes, vaddr::kStackBase);
+        ASSERT_LE(p.stackBytesPerThread, vaddr::kStackStride);
+        SyntheticSearchTrace src(p, kThreads);
+        for (const TraceRecord &r : collect(src, 40000)) {
+            ASSERT_GE(r.pc, vaddr::kCodeBase);
+            ASSERT_LT(r.pc, vaddr::kCodeBase + p.code.footprintBytes);
+            if (!r.hasData())
+                continue;
+            switch (r.kind) {
+              case AccessKind::Heap:
+                ASSERT_GE(r.addr, vaddr::kHeapBase);
+                ASSERT_LT(r.addr, vaddr::kShardBase);
+                break;
+              case AccessKind::Shard:
+                ASSERT_GE(r.addr, vaddr::kShardBase);
+                ASSERT_LT(r.addr, vaddr::kShardBase + p.shardSpanBytes);
+                break;
+              case AccessKind::Stack:
+                ASSERT_GE(r.addr, vaddr::kStackBase);
+                ASSERT_LT(r.addr,
+                          vaddr::kStackBase + kThreads * vaddr::kStackStride);
+                break;
+              default:
+                FAIL() << "unexpected kind";
+            }
         }
     }
 }
@@ -193,15 +246,25 @@ TEST(Synthetic, ShardRunsAreSequential)
 
 TEST(Synthetic, BranchRecordsConsistent)
 {
-    SyntheticSearchTrace src(tinyProfile(), 1);
-    for (const auto &r : collect(src, 100000)) {
-        if (r.branch == BranchKind::Taken) {
-            ASSERT_NE(r.target, 0u);
+    // Only a taken branch moves a thread's fetch anywhere but the next
+    // instruction, and each thread fetches its own path.
+    const WorkloadProfile p = tinyProfile();
+    SyntheticSearchTrace src(p, 3);
+    std::vector<const TraceRecord *> last(3, nullptr);
+    uint64_t sequential = 0, taken = 0;
+    const std::vector<TraceRecord> recs = collect(src, 100000);
+    for (const TraceRecord &r : recs) {
+        const TraceRecord *&prev = last[r.tid];
+        if (prev && prev->branch != BranchKind::Taken) {
+            ASSERT_EQ(r.pc, prev->pc + p.code.instrBytes);
+            ++sequential;
+        } else if (prev) {
+            ++taken;
         }
-        if (r.branch == BranchKind::NotBranch) {
-            ASSERT_EQ(r.target, 0u);
-        }
+        prev = &r;
     }
+    EXPECT_GT(sequential, 0u);
+    EXPECT_GT(taken, 0u);
 }
 
 } // namespace

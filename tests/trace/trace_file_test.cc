@@ -66,7 +66,6 @@ TEST_F(TraceFileTest, RoundTripExact)
     for (size_t i = 0; i < orig.size(); ++i) {
         ASSERT_EQ(back[i].pc, orig[i].pc) << i;
         ASSERT_EQ(back[i].addr, orig[i].addr);
-        ASSERT_EQ(back[i].target, orig[i].target);
         ASSERT_EQ(back[i].tid, orig[i].tid);
         ASSERT_EQ(back[i].kind, orig[i].kind);
         ASSERT_EQ(back[i].op, orig[i].op);
@@ -137,9 +136,12 @@ TEST_F(TraceFileTest, RejectsBadMagic)
     EXPECT_FALSE(r.ok());
 }
 
-/** Header bytes, and byte offsets of the enum fields in a record. */
+/** Header bytes, and byte offsets of fields in a record. */
 constexpr long kHeaderBytes = sizeof(TraceFileHeader);
 constexpr long kRecordBytes = 32;
+constexpr long kPcOffset = 0;
+constexpr long kAddrOffset = 8;
+constexpr long kUnusedOffset = 16;
 constexpr long kKindOffset = 26;
 constexpr long kOpOffset = 27;
 
@@ -231,6 +233,39 @@ TEST_F(TraceFileTest, StopsAtTruncation)
     EXPECT_EQ(got.size(), 600u);
     expectPrefix(got, orig);
     EXPECT_FALSE(r.ok());
+}
+
+TEST_F(TraceFileTest, StopsAtAddressBeyond48Bits)
+{
+    // Byte 6 of a little-endian word holds bits 48..55: setting it
+    // puts the pc, then the addr, at or above vaddr::kLimit, which a
+    // record would silently cut to its low 48 bits.
+    for (const long field : {kPcOffset, kAddrOffset}) {
+        SCOPED_TRACE(field == kPcOffset ? "pc" : "addr");
+        const std::vector<TraceRecord> orig = writeTrace(path_, 1000);
+        poke(path_, 300, field + 6, 1);
+        TraceFileReader r(path_);
+        ASSERT_TRUE(r.ok());
+        const std::vector<TraceRecord> got = drain(r);
+        EXPECT_EQ(got.size(), 300u);
+        expectPrefix(got, orig);
+        EXPECT_FALSE(r.ok());
+    }
+}
+
+TEST_F(TraceFileTest, IgnoresTheUnusedWord)
+{
+    // The third word of an on-disk record is written as 0 and never
+    // read: whatever it holds, every record decodes.
+    const std::vector<TraceRecord> orig = writeTrace(path_, 100);
+    for (long b = 0; b < 8; ++b)
+        poke(path_, 42, kUnusedOffset + b, 0xff);
+    TraceFileReader r(path_);
+    const std::vector<TraceRecord> got = drain(r);
+    ASSERT_EQ(got.size(), orig.size());
+    expectPrefix(got, orig);
+    EXPECT_EQ(got[42].addr, orig[42].addr);
+    EXPECT_TRUE(r.ok());
 }
 
 TEST_F(TraceFileTest, MissingFileFailsGracefully)
