@@ -14,13 +14,15 @@
  * order) against the varint sequential reference; the mismatches are
  * a check of BENCH_leaf.json, so any one fails the run and both the
  * pruning speedup and the packed-codec speedup always stand for the
- * same answers.
+ * same answers. Each row's topk_digest counter pins those answers'
+ * score bits against the previous run.
  *
  * Flags:
  *   --smoke        tiny corpus + few queries; the CI equivalence gate
  */
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -88,6 +90,31 @@ mismatches(const std::vector<Query> &queries, const EngineRun &run,
                          what, i);
     }
     return n;
+}
+
+/**
+ * FNV-1a over every returned doc id and the bit pattern of its float
+ * score, query by query in result order. The engines share the
+ * scoring code, so the cross-engine comparison cannot see a change
+ * to the score bits; this gated counter does.
+ */
+uint64_t
+topkDigest(const EngineRun &run)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](uint32_t v) {
+        for (int i = 0; i < 4; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const SearchResponse &r : run.responses) {
+        for (const ScoredDoc &d : r.docs) {
+            mix(d.doc);
+            mix(std::bit_cast<uint32_t>(d.score));
+        }
+    }
+    return h;
 }
 
 double
@@ -220,7 +247,8 @@ runBenchLeaf(bool smoke)
                 .counter("blocks_decoded", pruned.stats.blocksDecoded)
                 .counter("blocks_skipped", pruned.stats.blocksSkipped)
                 .counter("packed_blocks_decoded",
-                         pruned.stats.packedBlocksDecoded);
+                         pruned.stats.packedBlocksDecoded)
+                .counter("topk_digest", topkDigest(pruned));
         }
         packed_vs_varint_min = std::min(
             packed_vs_varint_min, pr.pruned.qps / vr.pruned.qps);

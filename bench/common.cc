@@ -169,8 +169,11 @@ std::string
 jsonValue(const std::vector<JsonFields> &objects)
 {
     std::string out = "[";
-    for (const JsonFields &o : objects)
-        out += (out.size() > 1 ? "," : "") + o.str();
+    for (const JsonFields &o : objects) {
+        if (out.size() > 1)
+            out += ',';
+        out += o.str();
+    }
     return out + "]";
 }
 

@@ -197,10 +197,11 @@ runWorkloadSweep(const WorkloadProfile &profile,
     // for it) and direct replays, in parallel: each replay follows its
     // group's generation chunk by chunk, as one of the buffer's
     // Readers. runParallelJobs hands jobs out in index order, so every
-    // generation job has started before any job that reads its buffer,
-    // and generation never waits: no thread count can deadlock. Then,
-    // with the buffers unmapped, every shared pass, each class's
-    // recording freed when its last shared pass ends.
+    // generation job has started before any job that reads its buffer.
+    // Generation waits for its readers only once all of them are
+    // running, so no thread count can deadlock. Then, with the buffers
+    // unmapped, every shared pass, each class's recording freed when
+    // its last shared pass ends.
     const size_t gen_jobs = clustered ? 0 : groups.size();
     std::vector<SystemResult> results(options.size());
     std::vector<PrivateRecording> recordings(classes.size());

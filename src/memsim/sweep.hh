@@ -214,7 +214,7 @@ SamplingPlan buildSweepPlan(const BufferedTrace &trace, uint64_t total,
  * simThreads(); the serial path (1 effective thread) runs inline.
  * Jobs are handed out in index order: job i starts only after every
  * job before it has started, so a job may wait for an earlier one
- * that never waits itself. Jobs must not throw.
+ * that waits only for jobs already running. Jobs must not throw.
  */
 void runParallelJobs(size_t njobs, uint32_t threads,
                      const std::function<void(size_t)> &job);

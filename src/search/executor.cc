@@ -40,7 +40,7 @@ pruneEps(double bound)
 QueryExecutor::QueryExecutor(const IndexShard &shard, uint32_t tid,
                              TouchSink *sink, const Clock *clock)
     : shard_(shard), scorer_(shard.numDocs(), shard.avgDocLen()),
-      tid_(tid), sink_(sink), clock_(clock)
+      norms_(shard.lengthNorms()), tid_(tid), sink_(sink), clock_(clock)
 {
     wsearch_assert(sink != nullptr);
 }
@@ -75,17 +75,22 @@ QueryExecutor::loadTerm(TermId term, TermCursorData &out)
         out.view.count = out.info.docFreq;
         out.view.codec = shard_.codec();
     }
-    out.maxScore = scorer_.maxScore(out.info.maxTf, out.info.docFreq);
+    out.idf = scorer_.idf(out.info.docFreq);
+    out.maxScore = scorer_.maxScore(out.info.maxTf, out.idf);
 }
 
 double
-QueryExecutor::scoreCandidate(DocId doc, uint32_t tf, uint32_t doc_freq)
+QueryExecutor::scoreCandidate(DocId doc, uint32_t tf, double idf)
 {
     // Document metadata read (length + static rank).
     sink_->touch(engine_vaddr::docMetaAddr(doc), 8, AccessKind::Heap,
                  false);
     ++lastStats_.candidatesScored;
-    return scorer_.score(tf, shard_.docLen(doc), doc_freq);
+    // A shard without a norm table (sparse or procedural doc ids)
+    // yields the same double from the document's length.
+    const double norm =
+        norms_ ? norms_[doc] : scorer_.lengthNorm(shard_.docLen(doc));
+    return scorer_.contribution(idf, tf, norm);
 }
 
 bool
@@ -189,8 +194,7 @@ QueryExecutor::executeConjunctive(const Query &q,
             double score = 0;
             for (size_t i = 0; i < n; ++i) {
                 TermCursorData &t = terms_[order_[i]];
-                score += scoreCandidate(cand, t.cursor.tf(),
-                                        t.info.docFreq);
+                score += scoreCandidate(cand, t.cursor.tf(), t.idf);
             }
             // Top-k heap update in scratch.
             sink_->touch(engine_vaddr::scratchAddr(tid_, kTopKOffset +
@@ -285,8 +289,7 @@ QueryExecutor::executeDisjunctive(const Query &q,
                 drainCursor(t);
             }
             if (t.cursor.valid() && t.cursor.doc() == cand)
-                score += scoreCandidate(cand, t.cursor.tf(),
-                                        t.info.docFreq);
+                score += scoreCandidate(cand, t.cursor.tf(), t.idf);
             if (full) {
                 const double bound = score + suffixUb_[i + 1];
                 if (bound + pruneEps(bound) < theta) {
@@ -384,8 +387,7 @@ QueryExecutor::executeConjunctiveSeq(const Query &q,
             double score = 0;
             for (size_t i = 0; i < n; ++i) {
                 TermCursorData &t = terms_[order_[i]];
-                score += scoreCandidate(cand, t.seq.tf(),
-                                        t.info.docFreq);
+                score += scoreCandidate(cand, t.seq.tf(), t.idf);
             }
             // Top-k heap update in scratch.
             sink_->touch(engine_vaddr::scratchAddr(tid_, kTopKOffset +
@@ -425,8 +427,7 @@ QueryExecutor::executeDisjunctiveSeq(const Query &q,
                     t.view.codec);
         while (t.seq.valid() && !shouldStop(policy)) {
             const DocId doc = t.seq.doc();
-            const double s =
-                scoreCandidate(doc, t.seq.tf(), t.info.docFreq);
+            const double s = scoreCandidate(doc, t.seq.tf(), t.idf);
             // Accumulator update: hashed slot in scratch.
             const uint64_t slot =
                 mix64(doc * 0x9e3779b97f4a7c15ull) % kAccumSlots;

@@ -83,6 +83,7 @@ class QueryExecutor
     {
         TermId term = 0;
         TermInfo info;
+        double idf = 0.0;      ///< computed once per query term
         double maxScore = 0.0; ///< list-wide contribution upper bound
         PostingView view;
         BlockPostingCursor cursor;
@@ -103,7 +104,7 @@ class QueryExecutor
                                const SearchRequest &policy);
 
     void loadTerm(TermId term, TermCursorData &out);
-    double scoreCandidate(DocId doc, uint32_t tf, uint32_t doc_freq);
+    double scoreCandidate(DocId doc, uint32_t tf, double idf);
     bool shouldStop(const SearchRequest &policy);
 
     /** Deadline time source (injected clock or the steady clock). */
@@ -140,6 +141,8 @@ class QueryExecutor
 
     const IndexShard &shard_;
     Bm25Scorer scorer_;
+    /** The shard's length-norm table, or null: see scoreCandidate. */
+    const double *norms_;
     uint32_t tid_;
     TouchSink *sink_;
     const Clock *clock_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "search/scorer.hh"
 #include "util/logging.hh"
 
 namespace wsearch {
@@ -55,6 +56,10 @@ MaterializedIndex::build(const CorpusGenerator &corpus,
     }
     avgDocLen_ = numDocs_
         ? static_cast<double>(total_len) / numDocs_ : 0.0;
+    const Bm25Scorer scorer(numDocs_, avgDocLen_);
+    lengthNorms_.resize(numDocs_);
+    for (DocId d = 0; d < numDocs_; ++d)
+        lengthNorms_[d] = scorer.lengthNorm(docLen_[d]);
 
     terms_.resize(cc.vocabSize);
     uint64_t offset = 0;

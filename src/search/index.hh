@@ -62,6 +62,16 @@ class IndexShard
     virtual uint32_t docLen(DocId doc) const = 0;
 
     /**
+     * Every document's BM25 length norm, indexed by doc id and valid
+     * while the shard lives: entry d is
+     * Bm25Scorer(numDocs(), avgDocLen()).lengthNorm(docLen(d)), with
+     * the scorer's default k1 and b. Null when the shard keeps no such
+     * table (a sparse doc-id space, or too many documents to tabulate);
+     * the executor then computes each norm from docLen().
+     */
+    virtual const double *lengthNorms() const { return nullptr; }
+
+    /**
      * Materialize the encoded posting bytes for @p term into @p out.
      * For the procedural index this *generates* them; the bytes are
      * identical on every call.
@@ -127,6 +137,13 @@ class MaterializedIndex : public IndexShard
     double avgDocLen() const override { return avgDocLen_; }
     TermInfo termInfo(TermId term) const override;
     uint32_t docLen(DocId doc) const override { return docLen_[doc]; }
+    /** Filled once at build and shared by every executor over the
+     *  shard: 8 B per document. */
+    const double *
+    lengthNorms() const override
+    {
+        return lengthNorms_.data();
+    }
     void postingBytes(TermId term,
                       std::vector<uint8_t> &out) const override;
     bool postingView(TermId term, PostingView &out) const override;
@@ -145,6 +162,7 @@ class MaterializedIndex : public IndexShard
     };
     std::vector<TermData> terms_;
     std::vector<uint32_t> docLen_;
+    std::vector<double> lengthNorms_;
     PostingCodec codec_ = PostingCodec::kVarint;
     uint32_t numDocs_ = 0;
     double avgDocLen_ = 0;

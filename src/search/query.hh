@@ -65,6 +65,8 @@ struct ExecStats
         skipEntriesScanned += o.skipEntriesScanned;
         packedBlocksDecoded += o.packedBlocksDecoded;
     }
+
+    bool operator==(const ExecStats &) const = default;
 };
 
 /**

@@ -35,29 +35,43 @@ class Bm25Scorer
         return std::log(1.0 + (n - df + 0.5) / (df + 0.5));
     }
 
-    /** Per-(term, doc) contribution. */
+    /**
+     * Length normalisation k1 * (1 - b + b * doc_len / avg_doc_len):
+     * constant per document, so a MaterializedIndex tabulates it once
+     * at build (IndexShard::lengthNorms()).
+     */
     double
-    score(uint32_t tf, uint32_t doc_len, uint32_t doc_freq) const
+    lengthNorm(uint32_t doc_len) const
     {
-        const double tfd = static_cast<double>(tf);
-        const double norm = k1_ * (1.0 - b_ +
+        return k1_ * (1.0 - b_ +
             b_ * static_cast<double>(doc_len) / avgDocLen_);
-        return idf(doc_freq) * tfd * (k1_ + 1.0) / (tfd + norm);
     }
 
     /**
-     * Upper bound of any per-(term, doc) contribution for a term whose
-     * largest tf is @p max_tf: the score is increasing in tf and
-     * decreasing in doc_len, so doc_len -> 0 (norm = k1 * (1 - b))
-     * bounds it. This is the list-wide MaxScore used for dynamic
-     * pruning; per-block max tf gives tighter per-block bounds.
+     * Per-(term, doc) contribution from the term's idf() and the
+     * document's lengthNorm(). The executor computes each idf once per
+     * query term, so no logarithm runs per scored posting; the
+     * expression and its evaluation order are the ranking's bits.
      */
     double
-    maxScore(uint32_t max_tf, uint32_t doc_freq) const
+    contribution(double idf, uint32_t tf, double norm) const
     {
-        const double tfd = static_cast<double>(max_tf);
-        const double norm = k1_ * (1.0 - b_);
-        return idf(doc_freq) * tfd * (k1_ + 1.0) / (tfd + norm);
+        const double tfd = static_cast<double>(tf);
+        return idf * tfd * (k1_ + 1.0) / (tfd + norm);
+    }
+
+    /**
+     * Upper bound of any per-(term, doc) contribution for a term of
+     * idf @p idf whose largest tf is @p max_tf: the score is
+     * increasing in tf and decreasing in doc_len, so doc_len -> 0
+     * (norm = k1 * (1 - b)) bounds it. This is the list-wide MaxScore
+     * used for dynamic pruning; per-block max tf gives tighter
+     * per-block bounds.
+     */
+    double
+    maxScore(uint32_t max_tf, double idf) const
+    {
+        return contribution(idf, max_tf, k1_ * (1.0 - b_));
     }
 
     double k1() const { return k1_; }

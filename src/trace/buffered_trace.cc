@@ -67,8 +67,25 @@ BufferedTrace::release(size_t c) const
     wsearch_assert(before > 0); // more releases than holders
     if (before > 1 || !s.data)
         return;
-    std::lock_guard<std::mutex> lock(poolMutex_);
-    pool_.push_back(s.data);
+    {
+        std::lock_guard<std::mutex> lock(poolMutex_);
+        pool_.push_back(s.data);
+        s.recycled = true;
+    }
+    recycledCv_.notify_one();
+}
+
+void
+BufferedTrace::awaitLead(size_t c) const
+{
+    // Only a reader that exists can release anything, and one that
+    // exists makes progress: it waits for nothing but published
+    // chunks, and every chunk before c is published.
+    if (readers_ == 0 || c < kMaxLead ||
+        started_.load(std::memory_order_acquire) < readers_)
+        return;
+    std::unique_lock<std::mutex> lock(poolMutex_);
+    recycledCv_.wait(lock, [&] { return slots_[c - kMaxLead].recycled; });
 }
 
 void
@@ -79,6 +96,7 @@ BufferedTrace::generate(TraceSource &src)
     for (; c < slots_.size(); ++c) {
         const size_t want = static_cast<size_t>(
             std::min<uint64_t>(chunkRecords_, capacity_ - done));
+        awaitLead(c);
         TraceRecord *data = takeStorage();
         slots_[c].data = data;
         size_t filled = 0;

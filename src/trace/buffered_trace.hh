@@ -24,9 +24,12 @@
  * arenas. A buffer built for a known number of readers (see Reader)
  * recycles each chunk's storage once all of them have passed it: the
  * storage becomes the generator's next chunk, and the buffer holds
- * only what lies between its slowest reader and generation. Chunk
- * granularity is tunable so tests can exercise chunk boundaries and
- * replay loops stay cache-friendly.
+ * only what lies between its slowest reader and generation. Once all
+ * of those readers exist, generation stays at most kMaxLead chunks
+ * ahead of the slowest, so the buffer holds about kMaxLead chunks
+ * however much faster generation runs. Chunk granularity is tunable
+ * so tests can exercise chunk boundaries and replay loops stay
+ * cache-friendly.
  */
 
 #ifndef WSEARCH_TRACE_BUFFERED_TRACE_HH
@@ -34,6 +37,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -54,6 +58,13 @@ class BufferedTrace
   public:
     /** Default records per chunk (64K records = 1 MiB per chunk). */
     static constexpr size_t kDefaultChunkRecords = 1u << 16;
+
+    /**
+     * Most chunks generation runs ahead of the slowest reader: on a
+     * buffer whose readers all exist, chunk c is generated only after
+     * each of them has released chunk c - kMaxLead.
+     */
+    static constexpr size_t kMaxLead = 4;
 
     /** A contiguous view into one chunk. */
     struct Span
@@ -81,8 +92,13 @@ class BufferedTrace
     /**
      * Pull the buffer's records out of @p src, publishing each chunk
      * as it fills. Stops early if the source is exhausted. Call once,
-     * from one thread; readers may replay meanwhile. Never waits: a
-     * chunk with no recycled storage to take gets a new mapping.
+     * from one thread; readers may replay meanwhile. On a buffer
+     * built for k readers, once all k Readers have been constructed,
+     * waits before chunk c until each has released chunk
+     * c - kMaxLead; until then it never waits, so a reader that only
+     * starts after generation (on the same thread, say) cannot
+     * deadlock it. A chunk with no recycled storage to take gets a
+     * new mapping.
      */
     void generate(TraceSource &src);
 
@@ -166,7 +182,10 @@ class BufferedTrace
     class Reader
     {
       public:
-        explicit Reader(const BufferedTrace &trace) : trace_(trace) {}
+        explicit Reader(const BufferedTrace &trace) : trace_(trace)
+        {
+            trace_.started_.fetch_add(1, std::memory_order_release);
+        }
         ~Reader() { finish(); }
 
         Reader(const Reader &) = delete;
@@ -231,6 +250,8 @@ class BufferedTrace
          * takes it to 0 recycles the storage. Unused with 0 readers.
          */
         mutable std::atomic<uint32_t> holders{0};
+        /** The storage is back in pool_; guarded by poolMutex_. */
+        mutable bool recycled = false;
     };
 
     /** One anonymous mapping of chunk storage. */
@@ -254,6 +275,8 @@ class BufferedTrace
     }
     uint64_t awaitPublished(uint64_t i) const;
 
+    /** Wait, if the lead is capped yet, to generate chunk @p c. */
+    void awaitLead(size_t c) const;
     /** Storage for the next chunk: recycled, else newly mapped. */
     TraceRecord *takeStorage();
     /** Drop one hold on chunk @p c, recycling it at the last. */
@@ -266,6 +289,8 @@ class BufferedTrace
     std::vector<Slot> slots_;
     /** Records published (whole chunks, in order), plus kEnded. */
     std::atomic<uint64_t> published_{0};
+    /** Readers constructed so far. */
+    mutable std::atomic<uint32_t> started_{0};
 
     /** Generator only (and the destructor). */
     std::vector<Mapping> mappings_;
@@ -273,6 +298,8 @@ class BufferedTrace
     /** Recycled chunk storage, taken last in, first out. */
     mutable std::mutex poolMutex_;
     mutable std::vector<TraceRecord *> pool_;
+    /** Signalled when a chunk is recycled; the generator waits on it. */
+    mutable std::condition_variable recycledCv_;
 };
 
 } // namespace wsearch

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <memory>
+#include <string>
 
+#include "recording_sink.hh"
 #include "search/executor.hh"
 #include "serve/clock.hh"
 
@@ -266,6 +269,100 @@ TEST(ExecutorEquiv, ConjunctiveSkipsBlocks)
     EXPECT_LT(ps.postingsDecoded, 1000u);
     EXPECT_LT(ps.postingsDecoded, ss.postingsDecoded);
     EXPECT_LT(ps.shardBytesRead, ss.shardBytesRead);
+}
+
+/** @p inner without its length-norm table: the executor then
+ *  computes every norm from docLen(). */
+class NormlessShard : public IndexShard
+{
+  public:
+    explicit NormlessShard(const IndexShard &inner) : inner_(inner) {}
+
+    uint32_t numDocs() const override { return inner_.numDocs(); }
+    uint32_t numTerms() const override { return inner_.numTerms(); }
+    double avgDocLen() const override { return inner_.avgDocLen(); }
+    TermInfo
+    termInfo(TermId t) const override
+    {
+        return inner_.termInfo(t);
+    }
+    uint32_t docLen(DocId d) const override { return inner_.docLen(d); }
+    void
+    postingBytes(TermId t, std::vector<uint8_t> &out) const override
+    {
+        inner_.postingBytes(t, out);
+    }
+    bool
+    postingView(TermId t, PostingView &out) const override
+    {
+        return inner_.postingView(t, out);
+    }
+    uint64_t shardBytes() const override { return inner_.shardBytes(); }
+    uint32_t payloadBytes() const override { return inner_.payloadBytes(); }
+    PostingCodec codec() const override { return inner_.codec(); }
+
+  private:
+    const IndexShard &inner_;
+};
+
+TEST(ExecutorEquiv, NormTableMatchesNormsFromDocLen)
+{
+    // Same shard, with and without the table: every score bit, every
+    // ExecStats count and every touch must agree, since MaxScore's
+    // pruning decisions and the engine trace both follow the scores.
+    CorpusConfig c;
+    c.numDocs = 3000;
+    c.vocabSize = 400;
+    c.avgDocLen = 60;
+    const CorpusGenerator corpus(c);
+    for (const PostingCodec codec :
+         {PostingCodec::kVarint, PostingCodec::kPacked}) {
+        SCOPED_TRACE(codec == PostingCodec::kPacked ? "packed" : "varint");
+        const MaterializedIndex index(corpus, codec);
+        const NormlessShard normless(index);
+        ASSERT_NE(index.lengthNorms(), nullptr);
+        ASSERT_EQ(normless.lengthNorms(), nullptr);
+        RecordingSink with_sink, without_sink;
+        QueryExecutor with(index, 0, &with_sink);
+        QueryExecutor without(normless, 0, &without_sink);
+        QueryGenerator::Config qc;
+        qc.vocabSize = index.numTerms();
+        qc.seed = 0x7ab1e;
+        QueryGenerator gen(qc);
+        uint64_t scored = 0;
+        for (uint32_t n = 0; n < 40; ++n) {
+            Query q = gen.materialize(n);
+            // Pruned and sequential engines, each AND and OR.
+            for (const ExecAlgo algo :
+                 {ExecAlgo::kAuto, ExecAlgo::kSequential}) {
+                for (const bool conj : {true, false}) {
+                    q.conjunctive = conj;
+                    for (const uint32_t k : {1u, 10u, 100u}) {
+                        SCOPED_TRACE("query " + std::to_string(n) +
+                                     " k=" + std::to_string(k));
+                        q.topK = k;
+                        const SearchResponse a = run(with, q, algo);
+                        const SearchResponse b = run(without, q, algo);
+                        ASSERT_EQ(a.docs.size(), b.docs.size());
+                        for (size_t i = 0; i < a.docs.size(); ++i) {
+                            ASSERT_EQ(a.docs[i].doc, b.docs[i].doc);
+                            ASSERT_EQ(
+                                std::bit_cast<uint32_t>(a.docs[i].score),
+                                std::bit_cast<uint32_t>(b.docs[i].score));
+                        }
+                        ASSERT_TRUE(a.stats == b.stats);
+                        ASSERT_FALSE(with_sink.touches.empty());
+                        ASSERT_TRUE(with_sink.touches ==
+                                    without_sink.touches);
+                        with_sink.touches.clear();
+                        without_sink.touches.clear();
+                        scored += a.stats.candidatesScored;
+                    }
+                }
+            }
+        }
+        EXPECT_GT(scored, 10000u);
+    }
 }
 
 TEST(ExecutorEquiv, CancelledRequestIsDegraded)

@@ -3,31 +3,11 @@
 #include <map>
 #include <set>
 
+#include "recording_sink.hh"
 #include "search/executor.hh"
 
 namespace wsearch {
 namespace {
-
-/** Sink recording every touch for inspection. */
-class RecordingSink : public TouchSink
-{
-  public:
-    struct T
-    {
-        uint64_t addr;
-        uint32_t bytes;
-        AccessKind kind;
-        bool write;
-    };
-    std::vector<T> touches;
-
-    void
-    touch(uint64_t addr, uint32_t bytes, AccessKind kind,
-          bool is_write) override
-    {
-        touches.push_back({addr, bytes, kind, is_write});
-    }
-};
 
 /** Run @p q through the SearchRequest API, returning just the docs. */
 std::vector<ScoredDoc>
@@ -76,9 +56,9 @@ struct Fixture
                     continue;
                 }
                 any = true;
-                score += scorer.score(it->second,
-                                      index.docLen(d),
-                                      index.termInfo(t).docFreq);
+                score += scorer.contribution(
+                    scorer.idf(index.termInfo(t).docFreq), it->second,
+                    scorer.lengthNorm(index.docLen(d)));
             }
             const bool match =
                 q.conjunctive && q.terms.size() > 1 ? all : any;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -202,6 +203,80 @@ TEST(BufferedTrace, StorageStaysWithinTheReadersLag)
         EXPECT_LE(buf.mappedChunks(), kLag + 2);
         EXPECT_EQ(buf.size(), kChunks * kPageChunk);
     }
+}
+
+TEST(BufferedTrace, GenerationLeadsTheSlowestReaderByAtMostMaxLead)
+{
+    // An unthrottled source and readers slowed on purpose: uncapped,
+    // generation would map nearly every chunk before they pass it.
+    constexpr uint64_t kChunks = 48;
+    for (const uint32_t readers : {1u, 3u}) {
+        SCOPED_TRACE("readers=" + std::to_string(readers));
+        BufferedTrace buf(kChunks * kPageChunk, kPageChunk, readers);
+        // Every reader exists before generation starts.
+        std::vector<std::unique_ptr<BufferedTrace::Reader>> rs;
+        for (uint32_t k = 0; k < readers; ++k)
+            rs.push_back(std::make_unique<BufferedTrace::Reader>(buf));
+        std::vector<std::thread> threads;
+        for (uint32_t k = 0; k < readers; ++k) {
+            threads.emplace_back([&, k] {
+                BufferedTrace::Reader &r = *rs[k];
+                for (uint64_t pos = 0;;) {
+                    const BufferedTrace::Span s =
+                        r.spanAt(pos, kPageChunk);
+                    if (s.count == 0)
+                        break;
+                    expectCounting(s, pos);
+                    pos += s.count;
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(200 * (k + 1)));
+                }
+                r.finish();
+            });
+        }
+        CountingSource src(kChunks * kPageChunk, kPageChunk);
+        buf.generate(src);
+        for (std::thread &t : threads)
+            t.join();
+        EXPECT_LE(buf.mappedChunks(), BufferedTrace::kMaxLead + 2);
+        EXPECT_EQ(buf.size(), kChunks * kPageChunk);
+    }
+}
+
+TEST(BufferedTrace, AReaderThatStartsAfterGenerationDoesNotBlockIt)
+{
+    // As in a one-thread sweep, whose private pass runs only after
+    // generation: the cap must not wait for a reader not yet there.
+    constexpr uint64_t kChunks = 3 * BufferedTrace::kMaxLead;
+    BufferedTrace buf(kChunks * kPageChunk, kPageChunk, 1);
+    CountingSource src(kChunks * kPageChunk, kPageChunk);
+    std::atomic<bool> done{false};
+    std::thread gen([&] {
+        buf.generate(src);
+        done.store(true, std::memory_order_release);
+    });
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_TRUE(done.load(std::memory_order_acquire))
+        << "generate() is waiting for a reader that does not exist";
+    // The late reader walks every chunk (which also frees a stuck
+    // generator, so the thread can be joined).
+    BufferedTrace::Reader r(buf);
+    uint64_t pos = 0;
+    while (true) {
+        const BufferedTrace::Span s = r.spanAt(pos, kPageChunk);
+        if (s.count == 0)
+            break;
+        expectCounting(s, pos);
+        pos += s.count;
+    }
+    gen.join();
+    EXPECT_EQ(pos, kChunks * kPageChunk);
+    // Nothing was released during generation: every chunk was mapped.
+    EXPECT_EQ(buf.mappedChunks(), kChunks);
 }
 
 TEST(BufferedTraceDeathTest, ReadingAReleasedChunkPanics)
