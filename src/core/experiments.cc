@@ -37,8 +37,6 @@ makeSystemConfig(const WorkloadProfile &profile,
     cfg.hierarchy.llc.inclusion = opt.llcInclusion;
     if (opt.llcRepl)
         cfg.hierarchy.llc.cache.repl = *opt.llcRepl;
-    cfg.hierarchy.llc.slices = opt.llcSlices;
-    cfg.hierarchy.coherence = opt.coherence;
     cfg.modelTlb = opt.modelTlb;
     if (opt.modelTlb)
         cfg.dtlb = opt.hugePages ? platform.tlbHuge : platform.tlbBase;

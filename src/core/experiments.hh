@@ -38,8 +38,6 @@ struct RunOptions
     /** LLC inclusion mode relative to the private levels. */
     InclusionMode llcInclusion = InclusionMode::NINE;
     std::optional<ReplPolicy> llcRepl; ///< override LLC replacement
-    uint32_t llcSlices = 1;            ///< address-hashed LLC slices
-    CoherenceProtocol coherence = CoherenceProtocol::None;
     uint64_t warmupRecords = 0;  ///< 0: half of measureRecords
     uint64_t measureRecords = 20'000'000;
 };

@@ -72,7 +72,7 @@ PlatformConfig::hierarchy(uint32_t cores, uint32_t smt_ways,
     h.l2 = cache_gen_l2(l2Bytes, cacheBlockBytes, 8);
     h.llc = cache_gen_llc(l3Bytes, cacheBlockBytes, l3Ways,
                           ReplPolicy::LRU, InclusionMode::NINE,
-                          /*slices=*/1, l3_partition_ways);
+                          l3_partition_ways);
     return h;
 }
 

@@ -48,7 +48,7 @@ PrivateSystem::PrivateSystem(const SystemConfig &cfg)
     : levels_(cfg.hierarchy), tlb_(cfg.modelTlb)
 {
     for (uint32_t c = 0; c < cfg.hierarchy.numCores; ++c) {
-        predictors_.emplace_back(cfg.predictorEntries);
+        predictors_.emplace_back(kPredictorEntries);
         if (cfg.modelTlb) {
             dtlbs_.emplace_back(cfg.dtlb);
             itlbs_.emplace_back(cfg.dtlb);
@@ -80,10 +80,6 @@ PrivateSystem::harvest(SystemResult &res) const
     res.l1d = levels_.l1dStats();
     res.l2 = levels_.l2Stats();
     res.writebacks += levels_.writebacks();
-    const CoherenceStats coh = levels_.cohStats();
-    res.cohUpgrades = coh.upgrades;
-    res.cohInvalidations = coh.invalidations;
-    res.cohDirtyWritebacks = coh.dirtyWritebacks;
     res.branches = branches_;
     res.mispredicts = mispredicts_;
     res.dtlbAccesses = dtlbAccesses_;
@@ -201,8 +197,7 @@ samePrivateHalf(const SystemConfig &a, const SystemConfig &b)
 {
     // Every SystemConfig field but `core` (the shared half's).
     return privateLevelsOf(a.hierarchy) == privateLevelsOf(b.hierarchy) &&
-        a.modelTlb == b.modelTlb && a.dtlb == b.dtlb &&
-        a.predictorEntries == b.predictorEntries;
+        a.modelTlb == b.modelTlb && a.dtlb == b.dtlb;
 }
 
 PrivateRecording

@@ -35,6 +35,13 @@
 
 namespace wsearch {
 
+/**
+ * Direction-predictor capacity per core; production cores have far
+ * more predictor state than an academic 16K bimodal, which matters
+ * against search's ~4 MiB code footprint.
+ */
+constexpr uint32_t kPredictorEntries = 128 * 1024;
+
 /** Configuration of a full system simulation. */
 struct SystemConfig
 {
@@ -42,16 +49,12 @@ struct SystemConfig
     CoreModelParams core;
     bool modelTlb = false;
     TlbConfig dtlb;  ///< data-side TLB (also used for instruction side)
-    /** Direction-predictor capacity; production cores have far more
-     *  predictor state than an academic 16K bimodal, which matters
-     *  against search's ~4 MiB code footprint. */
-    uint32_t predictorEntries = 128 * 1024;
 };
 
 /**
- * Everything one system run produces: the cache/coherence counters
- * and window accounting of SimResult, plus branch, TLB and Top-Down
- * counters and the derived IPC and AMAT.
+ * Everything one system run produces: the cache counters and window
+ * accounting of SimResult, plus branch, TLB and Top-Down counters and
+ * the derived IPC and AMAT.
  */
 struct SystemResult : SimResult
 {

@@ -24,15 +24,11 @@
 
 namespace wsearch {
 
-/** One cache array (a level, or one slice of a sliced level). */
+/** One cache array: the LLC or the L4. */
 class CacheUnit
 {
   public:
-    /**
-     * Build from @p spec with an explicit byte capacity (callers pass
-     * spec.cache.sizeBytes / spec.slices for sliced levels).
-     */
-    CacheUnit(const CacheLevelSpec &spec, uint64_t size_bytes)
+    explicit CacheUnit(const CacheLevelSpec &spec)
     {
         if (spec.fullyAssociative) {
             if (spec.cache.repl != ReplPolicy::LRU)
@@ -43,11 +39,9 @@ class CacheUnit
                 wsearch_fatal("fully-associative caches cannot be "
                               "way-partitioned");
             fa_ = std::make_unique<FullyAssocLruCache>(
-                size_bytes, spec.cache.blockBytes);
+                spec.cache.sizeBytes, spec.cache.blockBytes);
         } else {
-            CacheConfig c = spec.cache;
-            c.sizeBytes = size_bytes;
-            sa_ = std::make_unique<SetAssocCache>(c);
+            sa_ = std::make_unique<SetAssocCache>(spec.cache);
         }
     }
 

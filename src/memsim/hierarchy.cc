@@ -20,9 +20,6 @@ PrivateLevels::PrivateLevels(const HierarchySpec &spec)
         spec.l2.fullyAssociative)
         wsearch_fatal("private levels are set-associative; "
                       "fullyAssociative is an LLC/L4 option");
-    if (spec.l1i.slices != 1 || spec.l1d.slices != 1 ||
-        spec.l2.slices != 1)
-        wsearch_fatal("only the LLC can be sliced");
 
     for (uint32_t t = 0; t < spec.numCores * spec.smtWays; ++t)
         coreOfTid_.push_back(t / spec.smtWays);
@@ -50,12 +47,6 @@ PrivateLevels::PrivateLevels(const HierarchySpec &spec)
         stride_.emplace_back(256);
         stream_.emplace_back(spec.prefetch.streamDegree);
     }
-    if (spec.coherence != CoherenceProtocol::None &&
-        spec.numCores > 1) {
-        wsearch_assert(spec.numCores <= 64); // sharer bitmask width
-        coh_ = std::make_unique<CoherenceDirectory>(
-            spec.coherence, spec.l1d.cache.blockBytes);
-    }
 }
 
 void
@@ -65,8 +56,6 @@ PrivateLevels::resetStats()
     l1d_.reset();
     l2_.reset();
     writebacks_ = 0;
-    if (coh_)
-        coh_->resetStats();
 }
 
 uint32_t
@@ -145,29 +134,10 @@ PrivateLevels::fetchLookup(uint32_t core, uint64_t pc,
     return kPastL2;
 }
 
-void
-PrivateLevels::applyCoherence(uint32_t core, uint64_t addr,
-                              bool is_store)
-{
-    const uint64_t mask = coh_->onAccess(core, addr, is_store);
-    if (!mask)
-        return;
-    // Keep the cache contents consistent with the directory: remote
-    // private data copies disappear on a store.
-    for (uint32_t c = 0; c < spec_.numCores; ++c) {
-        if (!(mask >> c & 1))
-            continue;
-        l1d_c_[c]->invalidate(addr);
-        l2_c_[c]->invalidate(addr);
-    }
-}
-
 HitLevel
 PrivateLevels::data(uint32_t core, uint64_t pc, uint64_t addr,
                     bool is_store, AccessKind kind, SharedRequests &out)
 {
-    if (coh_)
-        applyCoherence(core, addr, is_store);
     SetAssocCache &l1d = *l1d_c_[core];
     bool was_pf = false;
     const bool hit = l1d.access(addr, is_store, nullptr, nullptr, &was_pf);
@@ -216,23 +186,18 @@ PrivateLevels::data(uint32_t core, uint64_t pc, uint64_t addr,
 SharedLevels::SharedLevels(const HierarchySpec &spec) : spec_(spec)
 {
     if (spec.hasLlc) {
-        wsearch_assert(spec.llc.slices >= 1);
         if (spec.llc.inclusion == InclusionMode::Exclusive &&
             spec.llc.fullyAssociative)
             wsearch_fatal("exclusive LLC needs the set-associative "
                           "array (dirty-victim tracking)");
-        const uint64_t slice_bytes =
-            spec.llc.cache.sizeBytes / spec.llc.slices;
-        for (uint32_t s = 0; s < spec.llc.slices; ++s)
-            llc_c_.emplace_back(spec.llc, slice_bytes);
+        llc_c_ = std::make_unique<CacheUnit>(spec.llc);
     }
     if (spec.l4) {
         wsearch_assert(spec.hasLlc); // the L4 backs the LLC
         if (spec.l4->inclusion != InclusionMode::NINE)
             wsearch_fatal("the memory-side L4 is NINE by "
                           "construction");
-        l4_c_ = std::make_unique<CacheUnit>(*spec.l4,
-                                            spec.l4->cache.sizeBytes);
+        l4_c_ = std::make_unique<CacheUnit>(*spec.l4);
     }
 }
 
@@ -270,7 +235,7 @@ SharedLevels::fillFromL2Victim(uint64_t evicted, bool dirty,
 {
     if (!spec_.hasLlc)
         return;
-    CacheUnit &llc = llc_c_[llcSlice(evicted)];
+    CacheUnit &llc = *llc_c_;
     if (spec_.llc.inclusion == InclusionMode::Exclusive) {
         // An exclusive LLC holds exactly the private-cache victims:
         // every L2 eviction (clean or dirty) fills it, and the fill's
@@ -307,7 +272,7 @@ SharedLevels::demand(uint64_t addr, bool is_store, AccessKind kind,
         // No shared levels: misses go straight to memory.
         return HitLevel::Memory;
     }
-    CacheUnit &llc = llc_c_[llcSlice(addr)];
+    CacheUnit &llc = *llc_c_;
     bool llc_hit;
     if (spec_.llc.inclusion == InclusionMode::Exclusive) {
         // Exclusive LLC: a hit migrates the line up into the private

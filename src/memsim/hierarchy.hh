@@ -2,18 +2,15 @@
  * @file
  * Multi-core cache hierarchy assembled from composable CacheLevelSpec
  * levels (spec.hh): per-core private L1-I/L1-D/L2, a shared LLC
- * (inclusive, exclusive, or NINE; optionally slice-hashed), and an
- * optional memory-side L4 modeled after the paper's proposal (§IV-C):
- * a direct-mapped eDRAM cache filled by LLC evictions (with
- * fully-associative and fill-on-miss variants for the sensitivity
- * studies).
+ * (inclusive, exclusive, or NINE), and an optional memory-side L4
+ * modeled after the paper's proposal (§IV-C): a direct-mapped eDRAM
+ * cache filled by LLC evictions (with fully-associative and
+ * fill-on-miss variants for the sensitivity studies).
  *
  * SMT is modeled by mapping multiple hardware threads onto the same
- * private caches (contention is emergent). Coherence defaults to None
- * — the paper validates this as acceptable because production search
- * has negligible read-write sharing (§III-A) — but an MSI/MESI
- * directory (coherence.hh) can be enabled to account the upgrade/
- * invalidation/writeback traffic that claim hides.
+ * private caches (contention is emergent). Like the paper, the model
+ * has no coherence protocol, because production search has
+ * negligible read-write sharing (§III-A), and no sliced LLC.
  *
  * The hierarchy is two halves split at the L2->LLC boundary:
  * PrivateLevels (everything per core) and SharedLevels (LLC and L4),
@@ -31,7 +28,6 @@
 
 #include "memsim/cache.hh"
 #include "memsim/cache_unit.hh"
-#include "memsim/coherence.hh"
 #include "memsim/prefetch.hh"
 #include "memsim/spec.hh"
 #include "stats/counters.hh"
@@ -83,12 +79,11 @@ struct SharedRequests
 
 /**
  * The private half of the hierarchy: per-core L1-I, L1-D and L2 (the
- * L2 optionally way-split into instruction and data partitions), the
- * L1/L2 prefetchers and the coherence directory. An access either
- * ends here (L1 or L2) or returns kPastL2 with the requests the
- * shared levels must serve. With a non-inclusive LLC nothing below
- * feeds back, so this half's behaviour does not depend on the LLC or
- * L4 at all.
+ * L2 optionally way-split into instruction and data partitions) and
+ * the L1/L2 prefetchers. An access either ends here (L1 or L2) or
+ * returns kPastL2 with the requests the shared levels must serve.
+ * With a non-inclusive LLC nothing below feeds back, so this half's
+ * behaviour does not depend on the LLC or L4 at all.
  *
  * A per-core last-block filter sits in front of each L1-I: a fetch
  * to the block the core's L1-I saw last counts a hit without a
@@ -139,13 +134,6 @@ class PrivateLevels
     /** Dirty L2 victims (the writebacks this half causes). */
     uint64_t writebacks() const { return writebacks_; }
 
-    /** Coherence traffic (zero when the protocol is None). */
-    CoherenceStats
-    cohStats() const
-    {
-        return coh_ ? coh_->stats() : CoherenceStats{};
-    }
-
     /** Clear statistics (keeps cache contents). */
     void resetStats();
 
@@ -157,7 +145,6 @@ class PrivateLevels
                   AccessKind kind, SharedRequests &out);
     void streamPrefetch(uint32_t core, SetAssocCache &l2,
                         uint64_t addr);
-    void applyCoherence(uint32_t core, uint64_t addr, bool is_store);
 
     HierarchySpec spec_;
     std::vector<uint32_t> coreOfTid_; ///< tid -> core, one per thread
@@ -171,7 +158,6 @@ class PrivateLevels
     std::vector<std::unique_ptr<SetAssocCache>> l1d_c_;
     std::vector<std::unique_ptr<SetAssocCache>> l2_c_;
     std::vector<std::unique_ptr<SetAssocCache>> l2i_c_; ///< split mode
-    std::unique_ptr<CoherenceDirectory> coh_;
 
     std::vector<StridePrefetcher> stride_;
     std::vector<StreamPrefetcher> stream_;
@@ -181,10 +167,10 @@ class PrivateLevels
 };
 
 /**
- * The shared half: the LLC (inclusive, exclusive or NINE; optionally
- * slice-hashed) and the memory-side L4. It serves the private half's
- * requests in order and accounts LLC evictions. Only an inclusive LLC
- * reaches back up, through the PrivateLevels it is handed.
+ * The shared half: the LLC (inclusive, exclusive or NINE) and the
+ * memory-side L4. It serves the private half's requests in order and
+ * accounts LLC evictions. Only an inclusive LLC reaches back up,
+ * through the PrivateLevels it is handed.
  */
 class SharedLevels
 {
@@ -227,20 +213,8 @@ class SharedLevels
     void handleLlcEviction(uint64_t evicted, bool dirty,
                            PrivateLevels *upper);
 
-    /** LLC slice for @p addr. Single-slice configs bypass the hash so
-     *  legacy counters stay bit-identical. */
-    uint32_t
-    llcSlice(uint64_t addr) const
-    {
-        if (llc_c_.size() <= 1)
-            return 0;
-        const uint64_t block = addr / spec_.llc.cache.blockBytes;
-        const uint64_t h = (block * 0x9E3779B97F4A7C15ull) >> 33;
-        return static_cast<uint32_t>(h % llc_c_.size());
-    }
-
     HierarchySpec spec_;
-    std::vector<CacheUnit> llc_c_; ///< one per slice
+    std::unique_ptr<CacheUnit> llc_c_; ///< null when !hasLlc
     std::unique_ptr<CacheUnit> l4_c_;
 
     CacheLevelStats l3_, l4_;
@@ -305,9 +279,6 @@ class CacheHierarchy
     {
         return shared_.backInvalidations();
     }
-
-    /** Coherence traffic (zero when the protocol is None). */
-    CoherenceStats cohStats() const { return priv_.cohStats(); }
 
     /** Clear statistics (keeps cache contents; used after warmup). */
     void

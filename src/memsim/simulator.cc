@@ -33,10 +33,6 @@ runTrace(const BufferedTrace &trace, CacheHierarchy &hier,
         res.l3Evictions = hier.l3Evictions();
         res.writebacks = hier.writebacks();
         res.backInvalidations = hier.backInvalidations();
-        const CoherenceStats coh = hier.cohStats();
-        res.cohUpgrades = coh.upgrades;
-        res.cohInvalidations = coh.invalidations;
-        res.cohDirtyWritebacks = coh.dirtyWritebacks;
         return res;
     };
     return replayPlan<SimResult>(contiguousPlan(warmup, measure), replay,

@@ -1,8 +1,8 @@
 /**
  * @file
  * What a replay reports and how records reach it. SimResult holds the
- * cache and coherence counters and the sampling marks every replay
- * returns (cpu/system.hh's SystemResult extends it). pullSpans streams
+ * cache counters and the sampling marks every replay returns
+ * (cpu/system.hh's SystemResult extends it). pullSpans streams
  * a TraceSource through a fixed staging buffer and bufferedSpans hands
  * over a BufferedTrace's chunks through one of its Readers;
  * SystemSimulator, the one simulator, feeds its per-record loop from
@@ -31,7 +31,12 @@ struct SimResult
     uint64_t l3Evictions = 0;
     uint64_t writebacks = 0;
     uint64_t backInvalidations = 0;
-    // Coherence traffic (all zero when CoherenceProtocol::None).
+    /**
+     * Always zero: the hierarchy models no coherence protocol. They
+     * stay only because perfbench/sim_workloads.cc mixes them into its
+     * pinned digests, and the benchmark harness is fixed; nothing
+     * writes them.
+     */
     uint64_t cohUpgrades = 0;
     uint64_t cohInvalidations = 0;
     uint64_t cohDirtyWritebacks = 0;
@@ -110,9 +115,6 @@ struct SimResult
         l3Evictions += o.l3Evictions;
         writebacks += o.writebacks;
         backInvalidations += o.backInvalidations;
-        cohUpgrades += o.cohUpgrades;
-        cohInvalidations += o.cohInvalidations;
-        cohDirtyWritebacks += o.cohDirtyWritebacks;
         sampledWindows += o.sampledWindows;
         representedWindows += o.representedWindows;
         l3MissVar += o.l3MissVar;

@@ -22,31 +22,30 @@ cache_gen_l2(uint64_t size_bytes, uint32_t block_bytes, uint32_t ways,
 
 CacheLevelSpec
 cache_gen_llc(uint64_t size_bytes, uint32_t block_bytes, uint32_t ways,
-              ReplPolicy repl, InclusionMode inclusion, uint32_t slices,
+              ReplPolicy repl, InclusionMode inclusion,
               uint32_t partition_ways)
 {
     CacheLevelSpec s;
     s.cache =
         CacheConfig{size_bytes, block_bytes, ways, repl, partition_ways};
     s.inclusion = inclusion;
-    s.slices = slices ? slices : 1;
     return s;
 }
 
 CacheLevelSpec
 cache_gen_llc_inc(uint64_t size_bytes, uint32_t block_bytes,
-                  uint32_t ways, ReplPolicy repl, uint32_t slices)
+                  uint32_t ways, ReplPolicy repl)
 {
     return cache_gen_llc(size_bytes, block_bytes, ways, repl,
-                         InclusionMode::Inclusive, slices);
+                         InclusionMode::Inclusive);
 }
 
 CacheLevelSpec
 cache_gen_llc_exc(uint64_t size_bytes, uint32_t block_bytes,
-                  uint32_t ways, ReplPolicy repl, uint32_t slices)
+                  uint32_t ways, ReplPolicy repl)
 {
     return cache_gen_llc(size_bytes, block_bytes, ways, repl,
-                         InclusionMode::Exclusive, slices);
+                         InclusionMode::Exclusive);
 }
 
 CacheLevelSpec

@@ -2,13 +2,14 @@
  * @file
  * Composable cache-hierarchy specification. A hierarchy is assembled
  * from per-level CacheLevelSpec building blocks (size/ways, a
- * pluggable ReplPolicy, an inclusion mode, optional slice-hash
- * dispatch for the LLC, and an optional fully-associative backend)
- * by cache_gen_* factories in the style of FlexiCAS's generator
- * templates. A HierarchySpec composes the levels with a coherence
- * protocol choice, and CacheHierarchy consumes it directly. The
- * compat oracle test pins the counters of representative specs to
- * goldens captured before the composable redesign.
+ * pluggable ReplPolicy, an inclusion mode and an optional
+ * fully-associative backend) by cache_gen_* factories in the style of
+ * FlexiCAS's generator templates. A HierarchySpec composes the levels
+ * with the prefetchers, and CacheHierarchy consumes it directly. Like
+ * the paper (§III-A), it models no coherence protocol, since
+ * production search has negligible read-write sharing, and no sliced
+ * LLC. The compat oracle test pins the counters of representative
+ * specs to goldens captured before the composable redesign.
  *
  * Level semantics:
  *  - inclusion describes how a level relates to the levels ABOVE it
@@ -24,8 +25,6 @@
  *    the O(1) hash-map + intrusive-list implementation (a linear way
  *    scan would be impractical at GiB capacities). Exact LRU only;
  *    other policies are rejected at construction.
- *  - slices > 1 statically interleaves the level into address-hashed
- *    slices of sizeBytes/slices each (LLC slice dispatch).
  */
 
 #ifndef WSEARCH_MEMSIM_SPEC_HH
@@ -46,20 +45,12 @@ enum class InclusionMode : uint8_t {
     Exclusive, ///< holds only upper-level victims; hits migrate up
 };
 
-/** Coherence metadata protocol for multi-core data sharing. */
-enum class CoherenceProtocol : uint8_t {
-    None, ///< the paper's assumption: negligible read-write sharing
-    MSI,
-    MESI, ///< adds the silent Exclusive->Modified upgrade
-};
-
 /** One composable cache level. */
 struct CacheLevelSpec
 {
     CacheConfig cache;
     InclusionMode inclusion = InclusionMode::NINE;
     bool fullyAssociative = false;
-    uint32_t slices = 1;     ///< address-hashed slice count (LLC)
     bool victimFill = false; ///< memory-side victim cache (paper L4)
 
     bool operator==(const CacheLevelSpec &) const = default;
@@ -75,24 +66,22 @@ CacheLevelSpec cache_gen_l2(uint64_t size_bytes, uint32_t block_bytes,
                             uint32_t ways,
                             ReplPolicy repl = ReplPolicy::LRU);
 
-/** Shared last-level cache (optionally sliced / partitioned). */
+/** Shared last-level cache (optionally way-partitioned). */
 CacheLevelSpec
 cache_gen_llc(uint64_t size_bytes, uint32_t block_bytes, uint32_t ways,
               ReplPolicy repl = ReplPolicy::LRU,
               InclusionMode inclusion = InclusionMode::NINE,
-              uint32_t slices = 1, uint32_t partition_ways = 0);
+              uint32_t partition_ways = 0);
 
 /** Inclusive LLC shorthand (FlexiCAS cache_gen_llc_inc). */
 CacheLevelSpec cache_gen_llc_inc(uint64_t size_bytes,
                                  uint32_t block_bytes, uint32_t ways,
-                                 ReplPolicy repl = ReplPolicy::LRU,
-                                 uint32_t slices = 1);
+                                 ReplPolicy repl = ReplPolicy::LRU);
 
 /** Exclusive (victim) LLC shorthand (FlexiCAS cache_gen_l2_exc). */
 CacheLevelSpec cache_gen_llc_exc(uint64_t size_bytes,
                                  uint32_t block_bytes, uint32_t ways,
-                                 ReplPolicy repl = ReplPolicy::LRU,
-                                 uint32_t slices = 1);
+                                 ReplPolicy repl = ReplPolicy::LRU);
 
 /**
  * Memory-side cache behind the LLC (the paper's eDRAM L4).
@@ -107,8 +96,8 @@ CacheLevelSpec cache_gen_victim(uint64_t size_bytes,
 
 /**
  * A full hierarchy: per-core private L1-I/L1-D/L2, an optional shared
- * LLC, an optional memory-side L4, plus prefetch and coherence
- * choices. Assemble the levels with the cache_gen_* factories.
+ * LLC, an optional memory-side L4, plus the prefetch choices.
+ * Assemble the levels with the cache_gen_* factories.
  */
 struct HierarchySpec
 {
@@ -129,9 +118,6 @@ struct HierarchySpec
     bool hasLlc = true;
     std::optional<CacheLevelSpec> l4;
 
-    /** Directory coherence over the private data caches. None keeps
-     *  the paper's coherence-free model (and the seed's counters). */
-    CoherenceProtocol coherence = CoherenceProtocol::None;
     PrefetchConfig prefetch;
 
     bool operator==(const HierarchySpec &) const = default;

@@ -71,13 +71,6 @@ struct RepresentativeSampling
     /** Clustering seed; 0 resolves to a fixed built-in (sampleSeed),
      *  so runs are reproducible by default. */
     uint64_t seed = 0;
-    /**
-     * Relative floor on the confidence-band half-width. The analytic
-     * band captures signature-predicted dispersion but not the warmup
-     * bias of skipped state; the floor keeps the band honest when
-     * clusters are internally homogeneous.
-     */
-    double bandRelFloor = 0.03;
 
     bool
     enabled() const
@@ -117,7 +110,6 @@ struct SamplingPlan
     uint64_t windowRecords = 0;
     uint64_t warmupRecords = 0;
     uint64_t totalWindows = 0; ///< windows represented (== sum of weights)
-    double bandRelFloor = 0.03;
     std::vector<SampleWindow> windows; ///< sorted by begin
     /**
      * Per selected window: sum of squared distances of its cluster's
@@ -172,8 +164,8 @@ SamplingPlan buildClusteredPlan(const BufferedTrace &trace,
  * Clustered plans project within-cluster signature dispersion through
  * the locally observed metric gradient between cluster centroids;
  * uniform plans use the between-window sample variance with finite
- * population correction. @p estimate_total applies the plan's
- * relative band floor. See DESIGN.md "Representative sampling".
+ * population correction. The band's half-width is floored at 3% of
+ * @p estimate_total. See DESIGN.md "Representative sampling".
  */
 double planVariance(const SamplingPlan &plan,
                     const std::vector<double> &rep_metric,

@@ -24,7 +24,6 @@ struct CorpusConfig
     uint32_t numDocs = 10000;
     uint32_t vocabSize = 20000;
     uint32_t avgDocLen = 120;    ///< mean terms per document
-    double termTheta = 1.0;      ///< Zipf skew of term frequency
     uint64_t seed = 0xc0de5ull;
 };
 
@@ -39,8 +38,11 @@ struct Document
 class CorpusGenerator
 {
   public:
+    /** Zipf skew of term frequency. */
+    static constexpr double kTermTheta = 1.0;
+
     explicit CorpusGenerator(const CorpusConfig &cfg)
-        : cfg_(cfg), zipf_(cfg.vocabSize, cfg.termTheta)
+        : cfg_(cfg), zipf_(cfg.vocabSize, kTermTheta)
     {
     }
 

@@ -28,7 +28,6 @@ EngineTraceSource::EngineTraceSource(const IndexShard &shard,
     : shard_(shard), cfg_(cfg), cache_(cfg.queryCacheEntries)
 {
     wsearch_assert(cfg.numThreads >= 1);
-    wsearch_assert(cfg.touchGranularity >= 1);
     sink_ = std::make_unique<QueueSink>();
     LeafServer::Config lc;
     lc.numThreads = cfg.numThreads;
@@ -121,13 +120,19 @@ EngineTraceSource::emitRecord(uint32_t tid)
     const TraceRecord rec = TraceRecord::make(
         fi.pc, id, front.addr + t.chunkPos, front.kind,
         front.write ? MemOp::Store : MemOp::Load, branch);
-    t.chunkPos += cfg_.touchGranularity;
+    // Data records are emitted at this granularity within a touch
+    // (one record per this many bytes).
+    constexpr uint32_t kTouchGranularity = 16;
+    t.chunkPos += kTouchGranularity;
     if (t.chunkPos >= front.bytes) {
         t.pending.pop_front();
         t.chunkPos = 0;
     }
+    // Mean number of instruction-only records between data records
+    // (search executes a few instructions per memory reference).
+    constexpr double kCodeGapMean = 1.6;
     const uint64_t span = std::max<uint64_t>(
-        1, static_cast<uint64_t>(2.0 * cfg_.codeGapMean));
+        1, static_cast<uint64_t>(2.0 * kCodeGapMean));
     t.codeGap = static_cast<uint32_t>(t.rng.nextRange(span + 1));
     return rec;
 }

@@ -29,12 +29,6 @@ namespace wsearch {
 struct EngineTraceConfig
 {
     uint32_t numThreads = 4;
-    /** Mean number of instruction-only records between data records
-     *  (search executes a few instructions per memory reference). */
-    double codeGapMean = 1.6;
-    /** Data records are emitted at this granularity within a touch
-     *  (one record per this many bytes). */
-    uint32_t touchGranularity = 16;
     /** Entries in the fronting query-result cache (absorbs popular
      *  queries before they reach the leaf). 0 disables the tier. */
     size_t queryCacheEntries = 1 << 16;

@@ -469,8 +469,9 @@ QueryExecutor::executeDisjunctiveSeq(const Query &q,
 // ---------------------------------------------------------------------
 
 SearchResponse
-QueryExecutor::executeImpl(const Query &q, const SearchRequest &policy)
+QueryExecutor::execute(const SearchRequest &req)
 {
+    const Query &q = req.query;
     lastStats_ = ExecStats{};
     degraded_ = false;
     checkTick_ = 0;
@@ -484,10 +485,8 @@ QueryExecutor::executeImpl(const Query &q, const SearchRequest &policy)
         return resp;
     }
     // Cancelled/expired before starting: drop without executing.
-    if ((policy.cancel &&
-         policy.cancel->load(std::memory_order_acquire)) ||
-        (policy.deadlineNs != 0 &&
-         timeNowNs() > policy.deadlineNs)) {
+    if ((req.cancel && req.cancel->load(std::memory_order_acquire)) ||
+        (req.deadlineNs != 0 && timeNowNs() > req.deadlineNs)) {
         resp.ok = false;
         resp.degraded = true;
         resp.stats = lastStats_;
@@ -504,33 +503,27 @@ QueryExecutor::executeImpl(const Query &q, const SearchRequest &policy)
     topk_.reset(q.topK);
 
     bool conjunctive = q.conjunctive;
-    if (policy.algo == ExecAlgo::kAnd)
+    if (req.algo == ExecAlgo::kAnd)
         conjunctive = true;
-    else if (policy.algo == ExecAlgo::kOr)
+    else if (req.algo == ExecAlgo::kOr)
         conjunctive = false;
-    const bool sequential = policy.algo == ExecAlgo::kSequential;
+    const bool sequential = req.algo == ExecAlgo::kSequential;
 
     if (conjunctive && n > 1) {
         if (sequential)
-            executeConjunctiveSeq(q, policy, topk_);
+            executeConjunctiveSeq(q, req, topk_);
         else
-            executeConjunctive(q, policy, topk_);
+            executeConjunctive(q, req, topk_);
     } else {
         if (sequential)
-            executeDisjunctiveSeq(q, policy, topk_);
+            executeDisjunctiveSeq(q, req, topk_);
         else
-            executeDisjunctive(q, policy, topk_);
+            executeDisjunctive(q, req, topk_);
     }
     resp.docs = topk_.results();
     resp.stats = lastStats_;
     resp.degraded = degraded_;
     return resp;
-}
-
-SearchResponse
-QueryExecutor::execute(const SearchRequest &req)
-{
-    return executeImpl(req.query, req);
 }
 
 } // namespace wsearch

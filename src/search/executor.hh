@@ -97,12 +97,6 @@ class QueryExecutor
         std::vector<SkipEntry> ownedSkips;
     };
 
-    /** Shared engine behind both execute() overloads; @p policy
-     *  carries deadline/cancel/algo (its query member is unused, so
-     *  the legacy shim can avoid copying the query). */
-    SearchResponse executeImpl(const Query &q,
-                               const SearchRequest &policy);
-
     void loadTerm(TermId term, TermCursorData &out);
     double scoreCandidate(DocId doc, uint32_t tf, double idf);
     bool shouldStop(const SearchRequest &policy);

@@ -163,7 +163,7 @@ ProceduralIndex::ProceduralIndex(const Config &cfg) : cfg_(cfg)
 {
     wsearch_assert(cfg.numTerms >= 1);
     // Shard layout is a closed form; compute the total size.
-    // df(rank) = clamp(maxDf / (rank+1)^dfTheta, minDf, maxDf).
+    // df(rank) = clamp(maxDf / (rank+1)^kDfTheta, minDf, maxDf).
     uint64_t offset = 0;
     // Full per-term offset table: 8 bytes per term, built once.
     offsets_.reserve(cfg.numTerms + 1);
@@ -181,8 +181,9 @@ ProceduralIndex::ProceduralIndex(const Config &cfg) : cfg_(cfg)
 uint32_t
 ProceduralIndex::docFreqOf(TermId term) const
 {
+    constexpr double kDfTheta = 0.80; // skew of df over term rank
     const double df = static_cast<double>(cfg_.maxDocFreq) /
-        std::pow(static_cast<double>(term) + 1.0, cfg_.dfTheta);
+        std::pow(static_cast<double>(term) + 1.0, kDfTheta);
     if (df < cfg_.minDocFreq)
         return cfg_.minDocFreq;
     if (df > cfg_.maxDocFreq)

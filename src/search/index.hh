@@ -177,8 +177,6 @@ class ProceduralIndex : public IndexShard
     {
         uint32_t numDocs = 1u << 24;  ///< 16M docs
         uint32_t numTerms = 1u << 23; ///< 8M terms
-        double dfTheta = 0.80;        ///< skew of document frequency
-                                      ///< over term rank
         uint32_t maxDocFreq = 32768;
         uint32_t minDocFreq = 16;
         /** Per-posting payload (positions/features); part of the

@@ -121,8 +121,9 @@ LeafServer::footprint() const
 {
     FootprintStats f;
     f.codeBytes = cfg_.codeBytes;
+    constexpr uint64_t kStackBytesPerThread = 64 * KiB; // nominal
     f.stackBytes = static_cast<uint64_t>(cfg_.numThreads) *
-        cfg_.stackBytesPerThread;
+        kStackBytesPerThread;
     // Shared heap: document metadata and the term dictionary. The
     // shard itself is NOT heap (the paper accounts it separately).
     uint64_t docs = 0;

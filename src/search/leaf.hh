@@ -61,7 +61,6 @@ class LeafServer
          *  part of the Figure 4 heap accounting. */
         uint64_t perThreadBufferBytes = 24ull << 20;
         uint64_t codeBytes = 4ull << 20;
-        uint64_t stackBytesPerThread = 64 * KiB;
         /**
          * Doc ids returned are local * docIdStride + docIdOffset so
          * multiple leaves can serve disjoint partitions of a global

@@ -115,16 +115,18 @@ class QueryGenerator
         uint64_t distinctQueries = 1u << 22;
         double popularityTheta = 0.9; ///< repeat skew of query traffic
         uint32_t vocabSize = 1u << 20;
-        double termTheta = 0.95;      ///< skew of term choice
         double maxTerms = 5;
         double conjunctiveFrac = 0.7;
         uint64_t seed = 0x9ee4ull;
     };
 
+    /** Zipf skew of term choice. */
+    static constexpr double kTermTheta = 0.95;
+
     explicit QueryGenerator(const Config &cfg, uint64_t salt = 0)
         : cfg_(cfg), rng_(cfg.seed ^ salt),
           popularity_(cfg.distinctQueries, cfg.popularityTheta),
-          term_(cfg.vocabSize, cfg.termTheta)
+          term_(cfg.vocabSize, kTermTheta)
     {
     }
 

@@ -11,13 +11,12 @@ namespace wsearch {
 
 namespace {
 
-/** Samples pool queue depth every @p period_ms until stopped. */
+/** Samples pool queue depth every kPeriodMs until stopped. */
 class DepthSampler
 {
   public:
-    DepthSampler(const LeafWorkerPool &pool, uint32_t period_ms)
-        : pool_(pool), periodMs_(period_ms ? period_ms : 1),
-          thread_([this] { run(); })
+    explicit DepthSampler(const LeafWorkerPool &pool)
+        : pool_(pool), thread_([this] { run(); })
     {
     }
 
@@ -45,6 +44,8 @@ class DepthSampler
     }
 
   private:
+    static constexpr uint32_t kPeriodMs = 2;
+
     void
     run()
     {
@@ -55,12 +56,11 @@ class DepthSampler
             sumDepth_ += d;
             ++samples_;
             std::this_thread::sleep_for(
-                std::chrono::milliseconds(periodMs_));
+                std::chrono::milliseconds(kPeriodMs));
         }
     }
 
     const LeafWorkerPool &pool_;
-    const uint32_t periodMs_;
     std::atomic<bool> done_{false};
     // Written only by the sampler thread; read after stop().
     uint64_t maxDepth_ = 0;
@@ -102,7 +102,7 @@ runOpenLoop(LeafWorkerPool &pool, const LoadGenConfig &cfg)
     Rng arrivals(mix64(cfg.seed ^ 0x0a11ull));
     const double mean_gap_ns = 1e9 / cfg.offeredQps;
 
-    DepthSampler sampler(pool, cfg.depthSampleMs);
+    DepthSampler sampler(pool);
     const uint64_t start = nowNs();
     uint64_t next_arrival = start;
     for (uint64_t i = 0; i < cfg.numQueries; ++i) {
@@ -127,7 +127,7 @@ runClosedLoop(LeafWorkerPool &pool, const LoadGenConfig &cfg)
     wsearch_assert(cfg.clients >= 1);
     std::atomic<uint64_t> issued{0};
 
-    DepthSampler sampler(pool, cfg.depthSampleMs);
+    DepthSampler sampler(pool);
     const uint64_t start = nowNs();
     std::vector<std::thread> clients;
     clients.reserve(cfg.clients);

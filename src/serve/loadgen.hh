@@ -42,8 +42,6 @@ struct LoadGenConfig
     /** Traffic shape (must match the shard's vocabulary). */
     QueryGenerator::Config queries;
     uint64_t seed = 0x10adull;
-    /** Queue-depth sampling period (ms). */
-    uint32_t depthSampleMs = 2;
 };
 
 /** Outcome of one load-generation run. */

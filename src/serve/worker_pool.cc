@@ -59,13 +59,7 @@ LeafWorkerPool::LeafWorkerPool(const IndexShard &shard,
       queue_(cfg.queueCapacity),
       cache_(cfg.cacheCapacity, stripeCountFor(cfg))
 {
-    wsearch_assert(cfg.numWorkers >= 1);
-    slots_.reserve(cfg.numWorkers);
-    for (uint32_t w = 0; w < cfg.numWorkers; ++w)
-        slots_.push_back(std::make_unique<WorkerSlot>());
-    threads_.reserve(cfg.numWorkers);
-    for (uint32_t w = 0; w < cfg.numWorkers; ++w)
-        threads_.emplace_back([this, w] { workerMain(w); });
+    startWorkers();
 }
 
 LeafWorkerPool::LeafWorkerPool(
@@ -74,12 +68,18 @@ LeafWorkerPool::LeafWorkerPool(
       queue_(cfg.queueCapacity),
       cache_(cfg.cacheCapacity, stripeCountFor(cfg))
 {
-    wsearch_assert(cfg.numWorkers >= 1);
-    slots_.reserve(cfg.numWorkers);
-    for (uint32_t w = 0; w < cfg.numWorkers; ++w)
+    startWorkers();
+}
+
+void
+LeafWorkerPool::startWorkers()
+{
+    wsearch_assert(cfg_.numWorkers >= 1);
+    slots_.reserve(cfg_.numWorkers);
+    for (uint32_t w = 0; w < cfg_.numWorkers; ++w)
         slots_.push_back(std::make_unique<WorkerSlot>());
-    threads_.reserve(cfg.numWorkers);
-    for (uint32_t w = 0; w < cfg.numWorkers; ++w)
+    threads_.reserve(cfg_.numWorkers);
+    for (uint32_t w = 0; w < cfg_.numWorkers; ++w)
         threads_.emplace_back([this, w] { workerMain(w); });
 }
 
@@ -108,26 +108,22 @@ LeafWorkerPool::finish(ServeRequest &req,
                        ServeOutcome outcome, uint64_t index_version)
 {
     if (req.done) {
-        // The callback consumes the results; give the promise (rarely
-        // both are set) a copy first.
-        if (req.reply)
-            req.reply->set_value(results);
         req.done(std::move(results), outcome, index_version);
-    } else if (req.reply) {
-        req.reply->set_value(std::move(results));
+        req.done = nullptr;
     }
-    req.reply.reset();
-    req.done = nullptr;
 }
 
 LeafWorkerPool::Admit
 LeafWorkerPool::submit(const SearchRequest &request, bool block,
                        Reply reply)
 {
-    ServeRequest req;
-    req.request = request;
-    req.reply = std::move(reply);
-    return enqueue(std::move(req), block);
+    ServeCompletion done;
+    if (reply)
+        done = [reply = std::move(reply)](std::vector<ScoredDoc> &&results,
+                                          ServeOutcome, uint64_t) {
+            reply->set_value(std::move(results));
+        };
+    return submitAsync(request, block, std::move(done));
 }
 
 LeafWorkerPool::Admit
@@ -156,12 +152,10 @@ LeafWorkerPool::enqueue(ServeRequest &&req, bool block)
         return Admit::Refused;
     }
 
-    const bool wants_results = req.reply || req.done;
     if (cfg_.cacheCapacity > 0) {
         std::vector<ScoredDoc> hit_results;
         if (cache_.lookup(req.request.query.id,
-                          wants_results ? &hit_results : nullptr,
-                          &clk)) {
+                          req.done ? &hit_results : nullptr, &clk)) {
             slab.cacheHits.fetch_add(1, std::memory_order_relaxed);
             finish(req, std::move(hit_results), ServeOutcome::Ok,
                    leaf_.currentVersion());
@@ -321,9 +315,6 @@ LeafWorkerPool::workerMain(uint32_t worker_id)
         }
         if (fd.dropReply) {
             // The reply is lost in flight: the caller sees silence.
-            // (The promise channel -- closed-loop tests -- is still
-            // fulfilled; silence only makes sense for async callers
-            // that own a deadline.)
             slot.faultDropped.fetch_add(1,
                                         std::memory_order_relaxed);
             req.done = nullptr;

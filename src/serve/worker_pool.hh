@@ -90,9 +90,7 @@ struct ServeRequest
      */
     SearchRequest request;
     uint64_t enqueueNs = 0; ///< stamped by submit()
-    /** Optional completion channel (closed-loop clients, tests). */
-    std::shared_ptr<std::promise<std::vector<ScoredDoc>>> reply;
-    /** Optional async completion channel (scatter-gather clients). */
+    /** Optional completion channel; submit() wraps its promise in one. */
     ServeCompletion done;
 };
 
@@ -173,11 +171,14 @@ class LeafWorkerPool
     LeafWorkerPool &operator=(const LeafWorkerPool &) = delete;
 
     /**
-     * Submit one request (query + deadline/cancel/algo policy).
+     * Submit one request (query + deadline/cancel/algo policy): the
+     * promise form of submitAsync, whose rules it follows.
      * @param block true: wait for queue space (closed-loop); false:
      *              shed immediately when the queue is full (open-loop)
      * @param reply optional; fulfilled with the results on CacheHit /
-     *              completion, or with {} when shed
+     *              completion, or with {} when shed, refused, expired,
+     *              cancelled or failed. A reply the fault injector
+     *              drops is never fulfilled.
      */
     Admit submit(const SearchRequest &request, bool block,
                  Reply reply = nullptr);
@@ -258,6 +259,8 @@ class LeafWorkerPool
     };
     static constexpr size_t kSubmitSlabs = 16;
 
+    /** Start the workers (both constructors). */
+    void startWorkers();
     Admit enqueue(ServeRequest &&req, bool block);
     void workerMain(uint32_t worker_id);
     static void finish(ServeRequest &req,

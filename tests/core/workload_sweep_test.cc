@@ -54,9 +54,6 @@ expectSystemEq(const SystemResult &a, const SystemResult &b)
     EXPECT_EQ(a.l3Evictions, b.l3Evictions);
     EXPECT_EQ(a.writebacks, b.writebacks);
     EXPECT_EQ(a.backInvalidations, b.backInvalidations);
-    EXPECT_EQ(a.cohUpgrades, b.cohUpgrades);
-    EXPECT_EQ(a.cohInvalidations, b.cohInvalidations);
-    EXPECT_EQ(a.cohDirtyWritebacks, b.cohDirtyWritebacks);
     EXPECT_EQ(a.sampledWindows, b.sampledWindows);
     EXPECT_EQ(a.representedWindows, b.representedWindows);
     EXPECT_EQ(bits(a.l3MissVar), bits(b.l3MissVar));
@@ -87,53 +84,60 @@ smallPlatform()
     return plt;
 }
 
+/** One sweep's variations, and where the ones a test checks sit. */
+struct SweepOptions
+{
+    std::vector<RunOptions> options;
+    size_t exclusive = 0;          ///< the exclusive LLC
+    std::vector<size_t> l4;        ///< the three L4 kinds
+    std::vector<size_t> inclusive; ///< the two inclusive LLCs
+};
+
 /**
- * One sweep's variations. Most share the default private half and
- * differ only below the L2 (LLC size, ways, policy, CAT partition,
- * slices, exclusion, the three L4 kinds), so one private pass feeds
- * them all. The rest must not share it: an inclusive LLC reaches back
- * into the private caches, and the others change a private setting
- * (two of those come in pairs, forming classes of their own). The
- * last one has its own trace group.
+ * Most variations share the default private half and differ only
+ * below the L2 (LLC size, ways, policy, CAT partition, exclusion, the
+ * three L4 kinds), so one private pass feeds them all. The rest must
+ * not share it: an inclusive LLC reaches back into the private
+ * caches, and the others change a private setting (two of those come
+ * in pairs, forming classes of their own). The last one has its own
+ * trace group.
  */
-std::vector<RunOptions>
+SweepOptions
 sweepOptions()
 {
-    std::vector<RunOptions> o = {
-        smallOpt(64 * KiB), smallOpt(256 * KiB), smallOpt(1 * MiB)};
+    SweepOptions s;
+    std::vector<RunOptions> &o = s.options;
+    o = {smallOpt(64 * KiB), smallOpt(256 * KiB), smallOpt(1 * MiB)};
     auto add = [&](uint64_t l3_bytes, auto &&change) {
         RunOptions opt = smallOpt(l3_bytes);
         change(opt);
         o.push_back(opt);
+        return o.size() - 1;
     };
     add(128 * KiB, [](RunOptions &x) { x.l3Ways = 4; });
     add(128 * KiB, [](RunOptions &x) { x.llcRepl = ReplPolicy::SRRIP; });
     add(128 * KiB, [](RunOptions &x) { x.llcRepl = ReplPolicy::DRRIP; });
     add(128 * KiB, [](RunOptions &x) { x.llcRepl = ReplPolicy::Random; });
     add(256 * KiB, [](RunOptions &x) { x.l3PartitionWays = 4; });
-    add(256 * KiB, [](RunOptions &x) { x.llcSlices = 4; });
-    add(128 * KiB, [](RunOptions &x) {
+    s.exclusive = add(128 * KiB, [](RunOptions &x) {
         x.llcInclusion = InclusionMode::Exclusive;
     });
-    add(64 * KiB, [](RunOptions &x) {
+    s.l4.push_back(add(64 * KiB, [](RunOptions &x) {
         x.l4 = cache_gen_victim(512 * KiB, 64);
-    });
-    add(64 * KiB, [](RunOptions &x) {
+    }));
+    s.l4.push_back(add(64 * KiB, [](RunOptions &x) {
         x.l4 = cache_gen_victim(512 * KiB, 64, /*fully_assoc=*/true);
-    });
-    add(64 * KiB, [](RunOptions &x) {
+    }));
+    s.l4.push_back(add(64 * KiB, [](RunOptions &x) {
         x.l4 = cache_gen_victim(512 * KiB, 64, false,
                                 /*victim_fill=*/false);
-    });
+    }));
     // Must not share the default private half.
     for (const uint64_t l3 : {64 * KiB, 256 * KiB})
-        add(l3, [](RunOptions &x) {
+        s.inclusive.push_back(add(l3, [](RunOptions &x) {
             x.llcInclusion = InclusionMode::Inclusive;
-        });
+        }));
     add(128 * KiB, [](RunOptions &x) { x.l1Ways = 4; });
-    add(128 * KiB, [](RunOptions &x) {
-        x.coherence = CoherenceProtocol::MESI;
-    });
     for (const uint64_t l3 : {64 * KiB, 256 * KiB})
         add(l3, [](RunOptions &x) { x.modelTlb = true; });
     for (const uint64_t l3 : {64 * KiB, 256 * KiB})
@@ -143,14 +147,15 @@ sweepOptions()
         x.smtWays = 2;
     });
     add(256 * KiB, [](RunOptions &x) { x.cores = 2; });
-    return o;
+    return s;
 }
 
 TEST(WorkloadSweep, BitIdenticalToSerialRunWorkloadAtAnyThreadCount)
 {
     const WorkloadProfile prof = WorkloadProfile::s1Leaf();
     const PlatformConfig plt = smallPlatform();
-    const std::vector<RunOptions> options = sweepOptions();
+    const SweepOptions sweep = sweepOptions();
+    const std::vector<RunOptions> &options = sweep.options;
 
     std::vector<SystemResult> oracle;
     for (const RunOptions &opt : options)
@@ -167,9 +172,9 @@ TEST(WorkloadSweep, BitIdenticalToSerialRunWorkloadAtAnyThreadCount)
                          " option=" + std::to_string(i));
             expectSystemEq(got[i], oracle[i]);
             // Exact: shared passes of a class (option 0) and direct
-            // inclusive-LLC replays (13, 14) alike carry no window
-            // accounting and no band. Checked outright, since the
-            // oracle runs the same window loop.
+            // inclusive-LLC replays (sweep.inclusive) alike carry no
+            // window accounting and no band. Checked outright, since
+            // the oracle runs the same window loop.
             EXPECT_EQ(got[i].sampledWindows, 0u);
             EXPECT_EQ(got[i].representedWindows, 0u);
             EXPECT_EQ(bits(got[i].l3MissVar), bits(0.0));
@@ -178,10 +183,13 @@ TEST(WorkloadSweep, BitIdenticalToSerialRunWorkloadAtAnyThreadCount)
     // The shared halves saw victims, LLC evictions and L4 traffic.
     EXPECT_GT(oracle[0].writebacks, 0u);
     EXPECT_GT(oracle[0].l3Evictions, 0u);
-    EXPECT_GT(oracle[9].l3Evictions, 0u); // exclusive: victim fills
-    for (const size_t i : {10u, 11u, 12u})
+    // Exclusive: victim fills.
+    EXPECT_GT(oracle[sweep.exclusive].l3Evictions, 0u);
+    for (const size_t i : sweep.l4)
         EXPECT_GT(oracle[i].l4.totalAccesses() - oracle[i].l4.totalMisses(),
                   0u) << "option " << i;
+    for (const size_t i : sweep.inclusive)
+        EXPECT_GT(oracle[i].backInvalidations, 0u) << "option " << i;
 }
 
 TEST(WorkloadSweep, PlannedSweepEqualsPerConfigurationRunPlanned)
@@ -189,7 +197,7 @@ TEST(WorkloadSweep, PlannedSweepEqualsPerConfigurationRunPlanned)
     const WorkloadProfile prof = WorkloadProfile::s1Leaf();
     const PlatformConfig plt = smallPlatform();
     // One trace group: everything but the last option.
-    std::vector<RunOptions> options = sweepOptions();
+    std::vector<RunOptions> options = sweepOptions().options;
     options.pop_back();
     const uint64_t total = recordBudget(options[0]).total();
     SyntheticSearchTrace src(prof, options[0].cores);

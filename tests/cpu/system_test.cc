@@ -182,9 +182,6 @@ expectSystemIdentical(const SystemResult &a, const SystemResult &b)
     EXPECT_EQ(a.l3Evictions, b.l3Evictions);
     EXPECT_EQ(a.writebacks, b.writebacks);
     EXPECT_EQ(a.backInvalidations, b.backInvalidations);
-    EXPECT_EQ(a.cohUpgrades, b.cohUpgrades);
-    EXPECT_EQ(a.cohInvalidations, b.cohInvalidations);
-    EXPECT_EQ(a.cohDirtyWritebacks, b.cohDirtyWritebacks);
     EXPECT_EQ(a.branches, b.branches);
     EXPECT_EQ(a.mispredicts, b.mispredicts);
     EXPECT_EQ(a.dtlbAccesses, b.dtlbAccesses);
@@ -266,7 +263,7 @@ TEST(System, SamePrivateHalfIgnoresOnlyTheSharedLevelsAndCore)
     };
     EXPECT_TRUE(with([](SystemConfig &c) {
         c.hierarchy.llc = cache_gen_llc_exc(4 * MiB, 64, 16,
-                                            ReplPolicy::SRRIP, 4);
+                                            ReplPolicy::SRRIP);
     }));
     EXPECT_TRUE(with([](SystemConfig &c) {
         c.hierarchy.l4 = cache_gen_victim(8 * MiB, 64);
@@ -281,16 +278,12 @@ TEST(System, SamePrivateHalfIgnoresOnlyTheSharedLevelsAndCore)
         c.hierarchy.l2InstrPartitionWays = 2;
     }));
     EXPECT_FALSE(with([](SystemConfig &c) {
-        c.hierarchy.coherence = CoherenceProtocol::MESI;
-    }));
-    EXPECT_FALSE(with([](SystemConfig &c) {
         c.hierarchy.prefetch = PrefetchConfig::allOn();
     }));
     EXPECT_FALSE(with([](SystemConfig &c) { c.modelTlb = true; }));
     EXPECT_FALSE(with([](SystemConfig &c) {
         c.dtlb = TlbConfig::huge2M();
     }));
-    EXPECT_FALSE(with([](SystemConfig &c) { c.predictorEntries = 1024; }));
 }
 
 TEST(System, SharedHalfOverARecordingEqualsTheFullRun)

@@ -88,7 +88,7 @@ TEST(CompatOracle, InclusiveCatPartition)
     HierarchySpec cfg;
     cfg.numCores = 4;
     cfg.llc = cache_gen_llc(1 * MiB, 64, 16, ReplPolicy::LRU,
-                            InclusionMode::Inclusive, 1, 4);
+                            InclusionMode::Inclusive, 4);
     const Golden g = {
         {{80000, 0, 0, 0}, {2296, 0, 0, 0}},
         {{0, 17451, 871, 12012}, {0, 7348, 110, 4567}},

@@ -141,7 +141,7 @@ TEST(CacheUnit, RejectsNonLruFullyAssociative)
     CacheLevelSpec spec = cache_gen_victim(1 * MiB, 64,
                                            /*fully_assoc=*/true);
     spec.cache.repl = ReplPolicy::SRRIP;
-    EXPECT_EXIT(CacheUnit(spec, spec.cache.sizeBytes),
+    EXPECT_EXIT(CacheUnit{spec},
                 ::testing::ExitedWithCode(1),
                 "fully-associative");
 }
@@ -150,7 +150,7 @@ TEST(CacheUnit, AcceptsLruFullyAssociative)
 {
     CacheLevelSpec spec = cache_gen_victim(64 * KiB, 64,
                                            /*fully_assoc=*/true);
-    CacheUnit u(spec, spec.cache.sizeBytes);
+    CacheUnit u(spec);
     EXPECT_TRUE(u.fullyAssociative());
     u.insert(0x1000, false, false);
     EXPECT_TRUE(u.probe(0x1000));

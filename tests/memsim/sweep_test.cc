@@ -27,7 +27,7 @@ makeTrace(uint64_t records, size_t chunk)
     return BufferedTrace::materialize(src, records, chunk);
 }
 
-/** Every cache, writeback, eviction and coherence counter equal. */
+/** Every cache, writeback and eviction counter equal. */
 void
 expectCacheCountersEq(const SimResult &a, const SimResult &b,
                       const char *what)
@@ -50,14 +50,11 @@ expectCacheCountersEq(const SimResult &a, const SimResult &b,
     EXPECT_EQ(a.l3Evictions, b.l3Evictions) << what;
     EXPECT_EQ(a.writebacks, b.writebacks) << what;
     EXPECT_EQ(a.backInvalidations, b.backInvalidations) << what;
-    EXPECT_EQ(a.cohUpgrades, b.cohUpgrades) << what;
-    EXPECT_EQ(a.cohInvalidations, b.cohInvalidations) << what;
-    EXPECT_EQ(a.cohDirtyWritebacks, b.cohDirtyWritebacks) << what;
 }
 
 /**
  * The plain hierarchy, and one that moves the counters it leaves at
- * zero: back-invalidations, L4, prefetches and coherence.
+ * zero: back-invalidations, L4 and prefetches.
  */
 std::vector<SystemConfig>
 rungConfigs()
@@ -69,7 +66,6 @@ rungConfigs()
     inclusive.hierarchy.llc = cache_gen_llc_inc(256 * KiB, 64, 8);
     inclusive.hierarchy.l4 = cache_gen_victim(1 * MiB, 64);
     inclusive.hierarchy.prefetch = PrefetchConfig::allOn();
-    inclusive.hierarchy.coherence = CoherenceProtocol::MESI;
     return {plain, inclusive};
 }
 
@@ -105,7 +101,6 @@ expectInclusiveCountersMoved(const SimResult &moved)
     EXPECT_GT(moved.backInvalidations, 0u);
     EXPECT_GT(moved.l4.totalAccesses(), 0u);
     EXPECT_GT(moved.l2.prefetchIssued, 0u);
-    EXPECT_GT(moved.cohInvalidations, 0u);
 }
 
 TEST(SweepEngine, ChunkBoundaryStraddlingSplitsAreExact)

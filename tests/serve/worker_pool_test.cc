@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <future>
 #include <vector>
 
@@ -188,6 +190,46 @@ TEST(LeafWorkerPool, ShedFulfillsReplyEmpty)
     EXPECT_TRUE(fut.get().empty());
     const ServeSnapshot s = pool.snapshot();
     EXPECT_EQ(s.shed, 1u);
+    EXPECT_TRUE(s.consistent());
+}
+
+/** The worker's drop paths answer a promise too: a request that is
+ *  cancelled, or past its deadline, before it runs gets an empty page. */
+TEST(LeafWorkerPool, PromiseSeesEmptyPageWhenDropped)
+{
+    LeafWorkerPool::Config pc;
+    pc.numWorkers = 1;
+    LeafWorkerPool pool(testIndex(), pc);
+    QueryGenerator gen(testTraffic());
+    const Query q = gen.next();
+    auto page = [&](const SearchRequest &req) {
+        auto reply = std::make_shared<
+            std::promise<std::vector<ScoredDoc>>>();
+        auto fut = reply->get_future();
+        EXPECT_EQ(pool.submit(req, /*block=*/true, std::move(reply)),
+                  LeafWorkerPool::Admit::Accepted);
+        // A promise nobody fulfils would hang the test; fail instead.
+        if (fut.wait_for(std::chrono::seconds(30)) !=
+            std::future_status::ready) {
+            ADD_FAILURE() << "the reply was never fulfilled";
+            return std::vector<ScoredDoc>{};
+        }
+        return fut.get();
+    };
+
+    ASSERT_FALSE(page(asRequest(q)).empty()); // q has results
+    SearchRequest cancelled = asRequest(q);
+    cancelled.cancel = std::make_shared<std::atomic<bool>>(true);
+    EXPECT_TRUE(page(cancelled).empty());
+    SearchRequest expired = asRequest(q);
+    expired.deadlineNs = 1; // long past
+    EXPECT_TRUE(page(expired).empty());
+
+    pool.drain();
+    const ServeSnapshot s = pool.snapshot();
+    EXPECT_EQ(s.cancelled, 1u);
+    EXPECT_EQ(s.expired, 1u);
+    EXPECT_EQ(s.completed, 3u);
     EXPECT_TRUE(s.consistent());
 }
 
