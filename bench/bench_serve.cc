@@ -12,9 +12,9 @@
  *   3. the same mid-load point with the query-cache tier enabled,
  *      showing the cache absorbing popular queries ahead of the queue;
  *   4. thread scaling across 1/2/4/8 workers on two mixes (queue-only
- *      and cache-hit-heavy), the section that exercises the
- *      contention-free data plane: the ticket ring, the lock-striped
- *      cache tier, and the per-worker stats slabs. Every row's
+ *      and cache-hit-heavy), the section that loads the data plane
+ *      hardest: the one-mutex admission queue, the lock-striped
+ *      cache tier, and the per-worker stats. Every row's
  *      admission accounting is deterministic: its counters are gated
  *      by scripts/bench_diff.py, and a row that sheds or loses a
  *      query fails the run's failed_scaling_rows check. The
@@ -167,7 +167,7 @@ runBenchServe(const bench::Args &args)
     }
     ct.print();
 
-    // --- 4. Thread scaling on the contention-free data plane. --------
+    // --- 4. Thread scaling: up to 16 clients on 8 workers. ----------
     // Closed loop so every submission resolves (no shed): the row
     // counters (queries, resolved, shed, consistency) are exactly
     // reproducible, while qps/speedup are wall-clock and only
@@ -179,7 +179,7 @@ runBenchServe(const bench::Args &args)
         uint32_t distinctQueries;
     };
     const ScaleMix mixes[] = {
-        // Every query through the ticket ring to a worker.
+        // Every query through the admission queue to a worker.
         {"queue", 0, 1u << 16},
         // Popular repeats resolved by the lock-striped cache tier.
         {"cachehit", 4096, 1024},

@@ -19,7 +19,10 @@
  * serial-classic oracle; the modes that differ are a check of
  * BENCH_sweep.json, so any mismatch makes the binary exit nonzero and
  * CI can use it as the determinism gate. Wall-clock timings and
- * speedups land in the same file for EXPERIMENTS.md.
+ * speedups land in the same file, which the driver writes into the
+ * working directory; the recorded copy that EXPERIMENTS.md cites is
+ * results/BENCH_sweep.json, where no driver writes. Re-record it by
+ * copying a fresh run there.
  */
 
 #include <cmath>

@@ -471,12 +471,10 @@ ClusterServer::rolloutShard(uint32_t shard,
         }
         LeafWorkerPool &pool = *st.replicas[r];
         // Let in-flight work finish on the old version before the
-        // swap; new traffic already avoids this replica. With the
-        // ticket-ring queue, drained means the RING is observed
-        // empty (every accepted ticket consumed and completed), not
-        // that a queue mutex was quiesced -- a submit that raced the
-        // draining flag can still land a ticket after one drain()
-        // returns, so re-drain until the ring reads empty.
+        // swap; new traffic already avoids this replica. A caller
+        // that picked this replica just before the draining flag
+        // was set can still submit after one drain() returns, so
+        // re-drain until the queue reads empty.
         do {
             pool.drain();
         } while (pool.queueDepth() != 0);

@@ -88,20 +88,6 @@ LeafWorkerPool::~LeafWorkerPool()
     shutdown();
 }
 
-LeafWorkerPool::SubmitSlab &
-LeafWorkerPool::submitSlab()
-{
-    // Each submitting thread sticks to one slab for its lifetime (the
-    // index is global across pools: a thread that talks to several
-    // replicas lands on the same slab index in each, which is fine --
-    // the point is that DIFFERENT threads land on different lines).
-    static std::atomic<uint32_t> next{0};
-    thread_local const uint32_t idx =
-        next.fetch_add(1, std::memory_order_relaxed) %
-        kSubmitSlabs;
-    return submitSlabs_[idx];
-}
-
 void
 LeafWorkerPool::finish(ServeRequest &req,
                        std::vector<ScoredDoc> &&results,
@@ -139,7 +125,6 @@ LeafWorkerPool::submitAsync(const SearchRequest &request, bool block,
 LeafWorkerPool::Admit
 LeafWorkerPool::enqueue(ServeRequest &&req, bool block)
 {
-    SubmitSlab &slab = submitSlab();
     Clock &clk = clock();
 
     // A crashed replica refuses instantly -- before the cache tier,
@@ -147,7 +132,7 @@ LeafWorkerPool::enqueue(ServeRequest &&req, bool block)
     if (cfg_.faults &&
         !cfg_.faults->admit(cfg_.shardId, cfg_.replicaId,
                             req.request.query.id, clk.now())) {
-        slab.refused.fetch_add(1, std::memory_order_relaxed);
+        ++refused_;
         finish(req, {}, ServeOutcome::Refused, 0);
         return Admit::Refused;
     }
@@ -156,7 +141,7 @@ LeafWorkerPool::enqueue(ServeRequest &&req, bool block)
         std::vector<ScoredDoc> hit_results;
         if (cache_.lookup(req.request.query.id,
                           req.done ? &hit_results : nullptr, &clk)) {
-            slab.cacheHits.fetch_add(1, std::memory_order_relaxed);
+            ++cacheHits_;
             finish(req, std::move(hit_results), ServeOutcome::Ok,
                    leaf_.currentVersion());
             return Admit::CacheHit;
@@ -164,256 +149,164 @@ LeafWorkerPool::enqueue(ServeRequest &&req, bool block)
     }
 
     req.enqueueNs = clk.now();
-
-    // Count the acceptance before the enqueue so drain()'s
-    // "completed >= accepted" predicate can never observe a completed
-    // request that was not yet counted as accepted.
-    slab.accepted.fetch_add(1, std::memory_order_release);
     const bool ok = block ? queue_.push(std::move(req))
                           : queue_.tryPush(std::move(req));
     if (!ok) {
-        slab.accepted.fetch_sub(1, std::memory_order_release);
-        slab.shed.fetch_add(1, std::memory_order_relaxed);
-        // The rollback can lower the accepted total a concurrent
-        // drain() already read; re-evaluate its predicate.
-        notifyDrainWaiters();
+        ++shed_;
         // req is untouched on a failed push; tell the waiter.
         finish(req, {}, ServeOutcome::Shed, 0);
         return Admit::Shed;
     }
+    ++accepted_;
     return Admit::Accepted;
 }
 
 void
-LeafWorkerPool::notifyDrainWaiters()
-{
-    // Fence pairs with drain()'s registration fence: either this load
-    // sees the waiter (and we notify through the mutex), or the
-    // waiter's predicate sees our counter update (and never sleeps on
-    // it). Steady-state traffic with no drain() in flight pays one
-    // fence + one relaxed load here -- no lock, no notify.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (drainWaiters_.load(std::memory_order_relaxed) == 0)
-        return;
-    {
-        // Empty critical section pairs with drain()'s wait so the
-        // notify cannot slip between its predicate check and sleep.
-        std::lock_guard<std::mutex> lk(drainMu_);
-    }
-    drainCv_.notify_all();
-}
-
-void
-LeafWorkerPool::completeRequest(WorkerSlot &slot)
-{
-    slot.completed.fetch_add(1, std::memory_order_release);
-    notifyDrainWaiters();
-}
-
-void
 LeafWorkerPool::dropRequest(WorkerSlot &slot, ServeRequest &req,
-                            ServeOutcome outcome,
-                            std::atomic<uint64_t> &counter)
+                            ServeOutcome outcome, uint64_t &counter)
 {
-    counter.fetch_add(1, std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> lk(slot.mu);
+        ++counter;
+        ++slot.completed;
+    }
     finish(req, {}, outcome, 0);
     req.request.cancel.reset();
-    completeRequest(slot);
 }
 
 void
 LeafWorkerPool::workerMain(uint32_t worker_id)
 {
-    WorkerSlot &slot = *slots_[worker_id];
-    Clock &clk = clock();
-    // Interference schedule: worker-local since the rework (every
-    // worker pauses on every Nth of ITS OWN executions rather than
-    // the pool pausing on every Nth global execution -- same pause
-    // rate, no shared tick counter on the hot path).
+    // Interference schedule: worker-local (every worker pauses on
+    // every Nth of ITS OWN executions -- the pool-wide pause rate
+    // without a shared tick counter).
     uint64_t interference_tick = 0;
     ServeRequest req;
     while (queue_.pop(req)) {
-        uint64_t start = clk.now();
-
-        // Drop rather than execute work nobody is waiting for: a
-        // hedge whose twin already answered, or a request that sat in
-        // the queue past its deadline.
-        const bool dropped_cancel = req.request.cancel &&
-            req.request.cancel->load(std::memory_order_acquire);
-        const bool dropped_expired = !dropped_cancel &&
-            req.request.deadlineNs != 0 &&
-            start > req.request.deadlineNs;
-        if (dropped_cancel) {
-            dropRequest(slot, req, ServeOutcome::Cancelled,
-                        slot.cancelled);
-            continue;
-        }
-        if (dropped_expired) {
-            dropRequest(slot, req, ServeOutcome::Expired,
-                        slot.expired);
-            continue;
-        }
-
-        FaultDecision fd;
-        if (cfg_.faults)
-            fd = cfg_.faults->onExecute(cfg_.shardId, cfg_.replicaId,
-                                        req.request.query.id, start);
-        if (fd.delayNs != 0) {
-            // Injected slowness (or a stuck worker, which is just a
-            // very large delay). The sleep may outlive the deadline
-            // or the hedge twin: re-check before executing, exactly
-            // like the pop-time checks above.
-            clk.sleepUntil(start + fd.delayNs);
-            const uint64_t now = clk.now();
-            if (req.request.cancel &&
-                req.request.cancel->load(std::memory_order_acquire)) {
-                dropRequest(slot, req, ServeOutcome::Cancelled,
-                            slot.cancelled);
-                continue;
-            }
-            if (req.request.deadlineNs != 0 &&
-                now > req.request.deadlineNs) {
-                dropRequest(slot, req, ServeOutcome::Expired,
-                            slot.expired);
-                continue;
-            }
-            start = now; // service time excludes the injected delay
-        }
-        if (fd.fail) {
-            dropRequest(slot, req, ServeOutcome::Failed,
-                        slot.faultFailed);
-            continue;
-        }
-
-        if (cfg_.interferenceEveryN != 0 &&
-            cfg_.interferencePauseNs != 0 &&
-            interference_tick++ % cfg_.interferenceEveryN ==
-                cfg_.interferenceEveryN - 1) {
-            clk.sleepUntil(start + cfg_.interferencePauseNs);
-        }
-
-        SearchResponse resp = leaf_.serve(worker_id, req.request);
-        const uint64_t end = clk.now();
-
-        if (fd.corrupt) {
-            slot.faultCorrupted.fetch_add(
-                1, std::memory_order_relaxed);
-            corruptReply(resp.docs);
-            resp.degraded = true; // never cache a corrupted page
-        }
-
-        // Never cache a degraded page: the next asker deserves the
-        // full answer, not whatever a deadline-clipped run salvaged.
-        if (cfg_.cacheCapacity > 0 && !resp.degraded)
-            cache_.insert(req.request.query.id, resp.docs);
-        {
-            std::lock_guard<std::mutex> lk(slot.mu);
-            ++slot.counters.served;
-            slot.counters.busyNs += end - start;
-            slot.serviceNs.record(end - start);
-            slot.sojournNs.record(end - req.enqueueNs);
-        }
-        if (fd.dropReply) {
-            // The reply is lost in flight: the caller sees silence.
-            slot.faultDropped.fetch_add(1,
-                                        std::memory_order_relaxed);
-            req.done = nullptr;
-        }
-        // The executor reports !ok only when it observed the cancel
-        // flag or an already-passed deadline before starting.
-        const ServeOutcome outcome = resp.ok ? ServeOutcome::Ok
-            : (req.request.cancel &&
-               req.request.cancel->load(std::memory_order_acquire))
-            ? ServeOutcome::Cancelled
-            : ServeOutcome::Expired;
-        finish(req, std::move(resp.docs), outcome,
-               resp.indexVersion);
-        req.request.cancel.reset();
-
-        completeRequest(slot);
+        serveOne(worker_id, req, interference_tick);
+        queue_.done();
     }
 }
 
-uint64_t
-LeafWorkerPool::acceptedApprox() const
+void
+LeafWorkerPool::serveOne(uint32_t worker_id, ServeRequest &req,
+                         uint64_t &interference_tick)
 {
-    uint64_t n = 0;
-    for (const SubmitSlab &slab : submitSlabs_)
-        n += slab.accepted.load(std::memory_order_acquire);
-    return n;
-}
+    WorkerSlot &slot = *slots_[worker_id];
+    Clock &clk = clock();
+    uint64_t start = clk.now();
 
-uint64_t
-LeafWorkerPool::completedApprox() const
-{
-    uint64_t n = 0;
-    for (const auto &slot : slots_)
-        n += slot->completed.load(std::memory_order_acquire);
-    return n;
+    // Drop rather than execute work nobody is waiting for: a hedge
+    // whose twin already answered, or a request that sat in the queue
+    // past its deadline.
+    if (req.request.cancel &&
+        req.request.cancel->load(std::memory_order_acquire)) {
+        dropRequest(slot, req, ServeOutcome::Cancelled, slot.cancelled);
+        return;
+    }
+    if (req.request.deadlineNs != 0 && start > req.request.deadlineNs) {
+        dropRequest(slot, req, ServeOutcome::Expired, slot.expired);
+        return;
+    }
+
+    FaultDecision fd;
+    if (cfg_.faults)
+        fd = cfg_.faults->onExecute(cfg_.shardId, cfg_.replicaId,
+                                    req.request.query.id, start);
+    if (fd.delayNs != 0) {
+        // Injected slowness (or a stuck worker, which is just a very
+        // large delay). The sleep may outlive the deadline or the
+        // hedge twin: re-check before executing, exactly like the
+        // pop-time checks above.
+        clk.sleepUntil(start + fd.delayNs);
+        const uint64_t now = clk.now();
+        if (req.request.cancel &&
+            req.request.cancel->load(std::memory_order_acquire)) {
+            dropRequest(slot, req, ServeOutcome::Cancelled,
+                        slot.cancelled);
+            return;
+        }
+        if (req.request.deadlineNs != 0 && now > req.request.deadlineNs) {
+            dropRequest(slot, req, ServeOutcome::Expired, slot.expired);
+            return;
+        }
+        start = now; // service time excludes the injected delay
+    }
+    if (fd.fail) {
+        dropRequest(slot, req, ServeOutcome::Failed, slot.faultFailed);
+        return;
+    }
+
+    if (cfg_.interferenceEveryN != 0 && cfg_.interferencePauseNs != 0 &&
+        interference_tick++ % cfg_.interferenceEveryN ==
+            cfg_.interferenceEveryN - 1) {
+        clk.sleepUntil(start + cfg_.interferencePauseNs);
+    }
+
+    SearchResponse resp = leaf_.serve(worker_id, req.request);
+    const uint64_t end = clk.now();
+
+    if (fd.corrupt) {
+        corruptReply(resp.docs);
+        resp.degraded = true; // never cache a corrupted page
+    }
+
+    // Never cache a degraded page: the next asker deserves the full
+    // answer, not whatever a deadline-clipped run salvaged.
+    if (cfg_.cacheCapacity > 0 && !resp.degraded)
+        cache_.insert(req.request.query.id, resp.docs);
+    {
+        std::lock_guard<std::mutex> lk(slot.mu);
+        ++slot.counters.served;
+        slot.counters.busyNs += end - start;
+        slot.serviceNs.record(end - start);
+        slot.sojournNs.record(end - req.enqueueNs);
+        slot.faultCorrupted += fd.corrupt;
+        slot.faultDropped += fd.dropReply;
+        ++slot.completed;
+    }
+    // A dropped reply is lost in flight: the caller sees silence.
+    if (fd.dropReply)
+        req.done = nullptr;
+    // The executor reports !ok only when it observed the cancel flag
+    // or an already-passed deadline before starting.
+    const ServeOutcome outcome = resp.ok ? ServeOutcome::Ok
+        : (req.request.cancel &&
+           req.request.cancel->load(std::memory_order_acquire))
+        ? ServeOutcome::Cancelled
+        : ServeOutcome::Expired;
+    finish(req, std::move(resp.docs), outcome, resp.indexVersion);
+    req.request.cancel.reset();
 }
 
 void
 LeafWorkerPool::drain()
 {
-    std::unique_lock<std::mutex> lk(drainMu_);
-    drainWaiters_.fetch_add(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    drainCv_.wait(lk, [this] {
-        // completed first: both totals only grow, so a stale-low
-        // completed read is the safe side. completed(t1) >=
-        // accepted(t2) with t1 <= t2 means every request accepted by
-        // t2 had already completed -- a true quiescent point. The
-        // reverse order can pair a fresh completed total with a stale
-        // accepted total and declare the pool drained while a request
-        // accepted before the reads is still in flight.
-        const uint64_t done = completedApprox();
-        return done >= acceptedApprox();
-    });
-    drainWaiters_.fetch_sub(1, std::memory_order_relaxed);
+    queue_.join();
 }
 
 void
 LeafWorkerPool::shutdown()
 {
-    {
-        std::lock_guard<std::mutex> lk(drainMu_);
-        if (joined_)
-            return;
-        joined_ = true;
-    }
-    queue_.close();
-    for (std::thread &t : threads_)
-        t.join();
+    std::call_once(shutdownOnce_, [this] {
+        queue_.close();
+        for (std::thread &t : threads_)
+            t.join();
+    });
 }
 
 ServeSnapshot
 LeafWorkerPool::snapshot() const
 {
     ServeSnapshot s;
-    for (const SubmitSlab &slab : submitSlabs_) {
-        s.accepted += slab.accepted.load(std::memory_order_acquire);
-        s.shed += slab.shed.load(std::memory_order_relaxed);
-        s.cacheHits +=
-            slab.cacheHits.load(std::memory_order_relaxed);
-        s.refused += slab.refused.load(std::memory_order_relaxed);
-    }
+    s.accepted = accepted_.load();
+    s.shed = shed_.load();
+    s.cacheHits = cacheHits_.load();
+    s.refused = refused_.load();
     // Derived, not stored: the admission identity
     // submitted == accepted + shed + cacheHits + refused therefore
     // holds at any instant by construction.
     s.submitted = s.accepted + s.shed + s.cacheHits + s.refused;
-    for (const auto &slot : slots_) {
-        s.expired += slot->expired.load(std::memory_order_relaxed);
-        s.cancelled +=
-            slot->cancelled.load(std::memory_order_relaxed);
-        s.faultFailed +=
-            slot->faultFailed.load(std::memory_order_relaxed);
-        s.faultDropped +=
-            slot->faultDropped.load(std::memory_order_relaxed);
-        s.faultCorrupted +=
-            slot->faultCorrupted.load(std::memory_order_relaxed);
-        s.completed +=
-            slot->completed.load(std::memory_order_acquire);
-    }
     if (leaf_.live()) {
         s.snapshotsAdopted = leaf_.snapshotsAdopted();
         s.handoffsRejected = leaf_.handoffsRejected();
@@ -423,6 +316,12 @@ LeafWorkerPool::snapshot() const
     s.workers.reserve(slots_.size());
     for (const auto &slot : slots_) {
         std::lock_guard<std::mutex> lk(slot->mu);
+        s.completed += slot->completed;
+        s.expired += slot->expired;
+        s.cancelled += slot->cancelled;
+        s.faultFailed += slot->faultFailed;
+        s.faultDropped += slot->faultDropped;
+        s.faultCorrupted += slot->faultCorrupted;
         s.workers.push_back(slot->counters);
         s.serviceNs.merge(slot->serviceNs);
         s.sojournNs.merge(slot->sojournNs);

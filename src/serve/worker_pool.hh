@@ -4,8 +4,9 @@
  * latency-constrained leaf). A LeafWorkerPool owns:
  *
  *  - a bounded MPMC request queue (admission control: blocking push
- *    for closed-loop clients, shed-on-full for open-loop overload) --
- *    a lock-free Vyukov ticket ring since the contention-free rework;
+ *    for closed-loop clients, shed-on-full for open-loop overload),
+ *    one mutex over a fixed ring of slots, whose in-flight count is
+ *    what drain() waits on;
  *  - N std::thread workers, each serving queries on its own logical
  *    thread id of a shared LeafServer -- i.e. a per-thread
  *    QueryExecutor with tid-tagged scratch over one shared IndexShard,
@@ -13,9 +14,8 @@
  *  - the query-result cache tier (the paper Figure 1 cache tier,
  *    lock-striped into hash-partitioned segments) sitting in front of
  *    the queue, so popular queries never occupy a worker;
- *  - per-worker latency histograms and throughput counters on
- *    per-worker stats slabs (no shared hot atomics on the completion
- *    path), merged into a ServeSnapshot that is safe to take
+ *  - per-worker latency histograms and counters, each worker's behind
+ *    its own lock, merged into a ServeSnapshot that is safe to take
  *    mid-traffic.
  *
  * The pool runs untraced (NullTouchSink): this subsystem measures
@@ -26,9 +26,7 @@
 #ifndef WSEARCH_SERVE_WORKER_POOL_HH
 #define WSEARCH_SERVE_WORKER_POOL_HH
 
-#include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -39,11 +37,11 @@
 
 #include "search/leaf.hh"
 #include "search/query.hh"
+#include "serve/bounded_queue.hh"
 #include "serve/clock.hh"
 #include "serve/fault.hh"
 #include "serve/serve_stats.hh"
 #include "serve/striped_cache.hh"
-#include "serve/ticket_ring.hh"
 
 namespace wsearch {
 
@@ -164,7 +162,7 @@ class LeafWorkerPool
     LeafWorkerPool(std::shared_ptr<const IndexSnapshot> snapshot,
                    const Config &cfg);
 
-    /** Shuts down and joins (drops any still-queued requests). */
+    /** Calls shutdown(): queued requests still run before the join. */
     ~LeafWorkerPool();
 
     LeafWorkerPool(const LeafWorkerPool &) = delete;
@@ -194,7 +192,8 @@ class LeafWorkerPool
     Admit submitAsync(const SearchRequest &request, bool block,
                       ServeCompletion done);
 
-    /** Wait until every accepted request has completed. */
+    /** Wait until every accepted request has completed, its
+     *  completion callback included. */
     void drain();
 
     /**
@@ -220,49 +219,31 @@ class LeafWorkerPool
 
   private:
     /**
-     * Per-worker stats slab. The completion counters are the worker's
-     * own cache line (alignas below): it is the only writer, so the
-     * hot completion path is an uncontended relaxed/release increment
-     * -- no shared atomic, no lock. Snapshots read the atomics from
-     * any thread; the histograms stay behind the slot mutex, which
-     * only a snapshot ever contends.
+     * One worker's counters and histograms. The worker takes mu once
+     * per request it finishes; snapshot() takes it to read, so every
+     * identity between these fields holds in any snapshot.
      */
     struct alignas(64) WorkerSlot
     {
-        std::atomic<uint64_t> completed{0};
-        std::atomic<uint64_t> expired{0};   ///< deadline passed
-        std::atomic<uint64_t> cancelled{0}; ///< cancel flag set
-        std::atomic<uint64_t> faultFailed{0};    ///< injected failures
-        std::atomic<uint64_t> faultDropped{0};   ///< completions lost
-        std::atomic<uint64_t> faultCorrupted{0}; ///< corrupted
         mutable std::mutex mu;
+        uint64_t completed = 0;
+        uint64_t expired = 0;        ///< deadline passed
+        uint64_t cancelled = 0;      ///< cancel flag set
+        uint64_t faultFailed = 0;    ///< injected failures
+        uint64_t faultDropped = 0;   ///< completions lost
+        uint64_t faultCorrupted = 0; ///< corrupted
         WorkerCounters counters;
         LatencyHistogram serviceNs;
         LatencyHistogram sojournNs;
     };
 
-    /**
-     * Submission-side counter slab: admission outcomes are counted on
-     * one of kSubmitSlabs cache-line-sized slabs picked per submitting
-     * thread, so concurrent clients don't serialize on one counter
-     * line. submitted is not stored at all -- ServeSnapshot derives
-     * it as accepted + shed + cacheHits + refused at read time, which
-     * keeps consistent()'s admission identity exact at ANY instant
-     * (a separate counter could be observed out of step mid-flight).
-     */
-    struct alignas(64) SubmitSlab
-    {
-        std::atomic<uint64_t> accepted{0};
-        std::atomic<uint64_t> shed{0};
-        std::atomic<uint64_t> cacheHits{0};
-        std::atomic<uint64_t> refused{0};
-    };
-    static constexpr size_t kSubmitSlabs = 16;
-
     /** Start the workers (both constructors). */
     void startWorkers();
     Admit enqueue(ServeRequest &&req, bool block);
     void workerMain(uint32_t worker_id);
+    /** Run or drop one popped request and resolve its completion. */
+    void serveOne(uint32_t worker_id, ServeRequest &req,
+                  uint64_t &interference_tick);
     static void finish(ServeRequest &req,
                        std::vector<ScoredDoc> &&results,
                        ServeOutcome outcome, uint64_t index_version);
@@ -273,44 +254,28 @@ class LeafWorkerPool
         return cfg_.clock ? *cfg_.clock : realClock();
     }
 
-    /** The submitting thread's slab (stable per thread). */
-    SubmitSlab &submitSlab();
-
-    /** Count a popped-but-dropped request and wake drain()ers. */
-    void dropRequest(WorkerSlot &slot, ServeRequest &req,
-                     ServeOutcome outcome,
-                     std::atomic<uint64_t> &counter);
-
-    /** Mark one completion on @p slot and wake drain()ers (if any). */
-    void completeRequest(WorkerSlot &slot);
-
-    /** Sum of accepted over the submit slabs (drain predicate). */
-    uint64_t acceptedApprox() const;
-    /** Sum of completed over the worker slots (drain predicate). */
-    uint64_t completedApprox() const;
-
-    /** Wake drain() waiters; skipped when nobody waits. */
-    void notifyDrainWaiters();
+    /** Count a popped-but-dropped request on @p slot (@p counter is
+     *  one of its fields) and resolve it with @p outcome. */
+    static void dropRequest(WorkerSlot &slot, ServeRequest &req,
+                            ServeOutcome outcome, uint64_t &counter);
 
     Config cfg_;
     LeafServer leaf_;
-    TicketRing<ServeRequest> queue_;
+    BoundedQueue<ServeRequest> queue_;
     std::vector<std::unique_ptr<WorkerSlot>> slots_;
     std::vector<std::thread> threads_;
 
     // Cache tier (front of the queue), lock-striped by query id.
     StripedQueryCache cache_;
 
-    // Admission counters, striped per submitting thread.
-    std::array<SubmitSlab, kSubmitSlabs> submitSlabs_;
+    // Admission outcomes. submitted is not stored: snapshot() derives
+    // it as their sum, so the admission identity holds at any instant.
+    std::atomic<uint64_t> accepted_{0};
+    std::atomic<uint64_t> shed_{0};
+    std::atomic<uint64_t> cacheHits_{0};
+    std::atomic<uint64_t> refused_{0};
 
-    // drain() support. Waiters register so the completion hot path
-    // can skip the mutex+notify entirely when nobody is draining.
-    std::atomic<uint32_t> drainWaiters_{0};
-    mutable std::mutex drainMu_;
-    std::condition_variable drainCv_;
-
-    bool joined_ = false;
+    std::once_flag shutdownOnce_;
 };
 
 } // namespace wsearch

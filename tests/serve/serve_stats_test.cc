@@ -6,11 +6,11 @@
  * A merge that silently forgets a counter shows up here, not as a
  * subtly-wrong fleet report.
  *
- * Also covers the per-worker stats-slab aggregation: since the
- * contention-free rework, LeafWorkerPool::snapshot() SUMS counters
- * from per-worker slabs and per-thread submission slabs (submitted is
- * derived, not stored), so these tests pin that the aggregated view
- * still satisfies every identity -- after a drain and mid-flight.
+ * Also covers the per-worker stats aggregation: LeafWorkerPool::
+ * snapshot() SUMS counters from per-worker slots plus the pool's
+ * admission counters (submitted is derived, not stored), so these
+ * tests pin that the aggregated view still satisfies every identity
+ * -- after a drain and mid-flight.
  */
 
 #include <gtest/gtest.h>

@@ -3,12 +3,15 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <thread>
 #include <vector>
 
 #include "search/corpus.hh"
 #include "search/index.hh"
 #include "search/leaf.hh"
 #include "search/query.hh"
+#include "serve/clock.hh"
+#include "serve/fault.hh"
 #include "serve/loadgen.hh"
 #include "serve/worker_pool.hh"
 
@@ -230,6 +233,64 @@ TEST(LeafWorkerPool, PromiseSeesEmptyPageWhenDropped)
     EXPECT_EQ(s.cancelled, 1u);
     EXPECT_EQ(s.expired, 1u);
     EXPECT_EQ(s.completed, 3u);
+    EXPECT_TRUE(s.consistent());
+}
+
+/**
+ * drain() must wait for a request a worker has already popped: the
+ * queue reads empty while the request executes, but drain() returns
+ * only once it has completed and its callback has run. The injected
+ * delay parks the worker after its pop, on a virtual clock.
+ */
+TEST(LeafWorkerPool, DrainWaitsForExecutingRequest)
+{
+    SimClock clock;
+    FaultPlan plan;
+    plan.defaultSpec().delayProb = 1.0;
+    plan.defaultSpec().delayMinNs = 1'000'000;
+    plan.defaultSpec().delayMaxNs = 1'000'000;
+    LeafWorkerPool::Config pc;
+    pc.numWorkers = 1;
+    pc.clock = &clock;
+    pc.faults = &plan;
+    LeafWorkerPool pool(testIndex(), pc);
+    // Destroyed before the pool: a failed ASSERT unparks the worker,
+    // so the pool's shutdown cannot hang on its virtual sleep.
+    struct Release
+    {
+        SimClock &clock;
+        ~Release() { clock.release(); }
+    } release{clock};
+
+    QueryGenerator gen(testTraffic());
+    std::atomic<bool> completed{false};
+    ASSERT_EQ(pool.submitAsync(asRequest(gen.next()), /*block=*/true,
+                               [&](std::vector<ScoredDoc> &&,
+                                   ServeOutcome outcome, uint64_t) {
+                                   EXPECT_EQ(outcome, ServeOutcome::Ok);
+                                   completed.store(true);
+                               }),
+              LeafWorkerPool::Admit::Accepted);
+    ASSERT_TRUE(clock.awaitSleepers(1)); // popped, parked in its delay
+    EXPECT_EQ(pool.queueDepth(), 0u);
+
+    std::atomic<bool> drained{false};
+    std::atomic<bool> completed_at_drain{false};
+    std::thread drainer([&] {
+        pool.drain();
+        completed_at_drain.store(completed.load());
+        drained.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(drained.load());
+    EXPECT_FALSE(completed.load());
+    clock.advanceBy(1'000'000);
+    drainer.join();
+    EXPECT_TRUE(drained.load());
+    EXPECT_TRUE(completed_at_drain.load());
+    const ServeSnapshot s = pool.snapshot();
+    EXPECT_EQ(s.completed, 1u);
+    EXPECT_EQ(s.executed(), 1u);
     EXPECT_TRUE(s.consistent());
 }
 
