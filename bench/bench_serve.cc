@@ -13,13 +13,16 @@
  *      showing the cache absorbing popular queries ahead of the queue;
  *   4. thread scaling across 1/2/4/8 workers on two mixes (queue-only
  *      and cache-hit-heavy), the section that loads the data plane
- *      hardest: the one-mutex admission queue, the lock-striped
+ *      hardest: the one-mutex admission queue, the one-mutex LRU
  *      cache tier, and the per-worker stats. Every row's
  *      admission accounting is deterministic: its counters are gated
  *      by scripts/bench_diff.py, and a row that sheds or loses a
  *      query fails the run's failed_scaling_rows check. The
  *      throughput/speedup columns are wall-clock and only meaningful
- *      on multi-core hardware.
+ *      on multi-core hardware. On a host with at least 4 hardware
+ *      threads, a mix whose 4-worker QPS is below twice its 1-worker
+ *      QPS prints a GitHub Actions ::warning:: line; the warning
+ *      never fails the run and adds nothing to the artifact.
  *
  * --smoke shrinks the corpus, query counts and point durations;
  * sections 1-3 run 2 workers.
@@ -28,6 +31,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hh"
@@ -181,7 +185,7 @@ runBenchServe(const bench::Args &args)
     const ScaleMix mixes[] = {
         // Every query through the admission queue to a worker.
         {"queue", 0, 1u << 16},
-        // Popular repeats resolved by the lock-striped cache tier.
+        // Popular repeats resolved by the cache tier's one LRU.
         {"cachehit", 4096, 1024},
     };
     const uint32_t scale_workers[] = {1, 2, 4, 8};
@@ -192,6 +196,7 @@ runBenchServe(const bench::Args &args)
     Table st({"Mix", "Workers", "Queries", "Resolved", "Shed",
               "Hit rate", "QPS", "Speedup vs 1w"});
     uint64_t failed_rows = 0;
+    std::vector<const char *> flat_mixes; // 4 workers < 2x 1 worker
     for (const ScaleMix &mix : mixes) {
         double qps_1w = 0.0;
         for (const uint32_t w : scale_workers) {
@@ -213,6 +218,8 @@ runBenchServe(const bench::Args &args)
                 qps_1w = r.achievedQps;
             const double speedup =
                 qps_1w > 0 ? r.achievedQps / qps_1w : 0.0;
+            if (w == 4 && speedup < 2.0)
+                flat_mixes.push_back(mix.name);
             const double hit_rate = s.cacheLookups
                 ? static_cast<double>(s.cacheHits) /
                     static_cast<double>(s.cacheLookups)
@@ -246,6 +253,13 @@ runBenchServe(const bench::Args &args)
     st.print();
     std::printf("Speedup columns need real cores: on a single-CPU "
                 "host the workers serialize and the ratio stays ~1.\n");
+    // Scaling tripwire: warns, never fails, and stays out of the
+    // artifact, whose sections bench_diff.py gates.
+    if (std::thread::hardware_concurrency() >= 4)
+        for (const char *m : flat_mixes)
+            std::printf("::warning::bench_serve: the %s mix's 4-worker "
+                        "QPS is below 2x its 1-worker QPS\n",
+                        m);
 
     art.config("workers", workers)
         .config("scaling_queries", scale_queries)

@@ -14,7 +14,6 @@
  * EXPERIMENTS.md for the recorded deltas.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -40,8 +39,7 @@ runTable1(const bench::Args &args)
 {
     bench::banner("Table I",
                   "Key performance metrics for search, SPEC CPU2006, "
-                  "and CloudSuite",
-                  args.smoke);
+                  "and CloudSuite");
 
     const PlatformConfig plt1 = PlatformConfig::plt1();
     const PlatformConfig plt2 = PlatformConfig::plt2();
@@ -76,15 +74,13 @@ runTable1(const bench::Args &args)
     };
 
     std::vector<WorkloadSpec> specs;
-    uint64_t max_records = 0;
     for (const auto &row : rows) {
         RunOptions opt = bench::baseOptions(
             args, row.cores, row.cores >= 8 ? 24'000'000 : 8'000'000);
         specs.push_back({row.profile, row.platform, opt});
-        max_records = std::max(max_records, recordBudget(opt).total());
     }
     const std::vector<SystemResult> results =
-        runWorkloads(specs, bench::sweepControl(args, max_records));
+        runWorkloads(specs, args.threads);
 
     Table t({"Workload", "IPC", "(ref)", "L3 load MPKI", "(ref)",
              "L2-I MPKI", "(ref)", "Branch MPKI", "(ref)"});

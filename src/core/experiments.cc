@@ -241,35 +241,14 @@ runWorkloadSweep(const WorkloadProfile &profile,
 }
 
 std::vector<SystemResult>
-runWorkloads(const std::vector<WorkloadSpec> &specs,
-             const SweepControl &control)
-{
-    std::vector<SystemResult> results(specs.size());
-    runParallelJobs(specs.size(), control.threads, [&](size_t i) {
-        const WorkloadSpec &s = specs[i];
-        if (!control.planned()) {
-            // Exact jobs stream through the pull path: no job ever
-            // holds its whole trace in memory.
-            results[i] = runWorkload(s.profile, s.platform, s.opt);
-            return;
-        }
-        const RecordBudget budget = recordBudget(s.opt);
-        SyntheticSearchTrace src(s.profile, s.opt.cores * s.opt.smtWays);
-        const std::shared_ptr<const BufferedTrace> trace =
-            BufferedTrace::materialize(src, budget.total());
-        SystemSimulator sim(makeSystemConfig(s.profile, s.platform, s.opt));
-        results[i] = sim.runPlanned(
-            *trace, buildSweepPlan(*trace, budget.total(), control));
-    });
-    return results;
-}
-
-std::vector<SystemResult>
 runWorkloads(const std::vector<WorkloadSpec> &specs, uint32_t threads)
 {
-    SweepControl control;
-    control.threads = threads;
-    return runWorkloads(specs, control);
+    std::vector<SystemResult> results(specs.size());
+    runParallelJobs(specs.size(), threads, [&](size_t i) {
+        const WorkloadSpec &s = specs[i];
+        results[i] = runWorkload(s.profile, s.platform, s.opt);
+    });
+    return results;
 }
 
 } // namespace wsearch

@@ -95,14 +95,11 @@ struct WorkloadSpec
 };
 
 /**
- * Run heterogeneous workload jobs in parallel (e.g. the Table I
- * rows). Each job generates its own trace -- nothing is shared, so
- * results are bit-identical to serial runWorkload calls unless
- * @p control.planned() (sampled estimates).
+ * Run heterogeneous workload jobs in parallel on @p threads workers
+ * (0: simThreads()), e.g. the Table I rows. Each job streams its own
+ * trace through the pull path -- nothing is shared, so results are
+ * bit-identical to serial runWorkload calls.
  */
-std::vector<SystemResult>
-runWorkloads(const std::vector<WorkloadSpec> &specs,
-             const SweepControl &control);
 std::vector<SystemResult>
 runWorkloads(const std::vector<WorkloadSpec> &specs,
              uint32_t threads = 0);

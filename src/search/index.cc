@@ -16,28 +16,27 @@ MaterializedIndex::MaterializedIndex(const CorpusGenerator &corpus,
                                      PostingCodec codec)
     : codec_(codec)
 {
-    build(corpus, 1, 0);
+    build(corpus);
 }
 
 MaterializedIndex::MaterializedIndex(const CorpusGenerator &corpus,
                                      uint32_t take_stride,
                                      uint32_t take_offset,
                                      PostingCodec codec)
-    : codec_(codec)
+    : codec_(codec), partition_{take_stride, take_offset}
 {
-    build(corpus, take_stride, take_offset);
+    build(corpus);
 }
 
 void
-MaterializedIndex::build(const CorpusGenerator &corpus,
-                         uint32_t take_stride, uint32_t take_offset)
+MaterializedIndex::build(const CorpusGenerator &corpus)
 {
-    wsearch_assert(take_stride >= 1);
-    wsearch_assert(take_offset < take_stride);
+    const auto [stride, first] = partition_;
+    wsearch_assert(stride >= 1);
+    wsearch_assert(first < stride);
     const CorpusConfig &cc = corpus.config();
-    // Local doc d maps to global doc d * stride + offset.
-    numDocs_ = take_offset < cc.numDocs
-        ? (cc.numDocs - take_offset + take_stride - 1) / take_stride
+    numDocs_ = first < cc.numDocs
+        ? (cc.numDocs - first + stride - 1) / stride
         : 0;
     docLen_.resize(numDocs_);
 
@@ -47,8 +46,7 @@ MaterializedIndex::build(const CorpusGenerator &corpus,
     std::vector<std::vector<DocId>> acc(cc.vocabSize);
     uint64_t total_len = 0;
     for (DocId d = 0; d < numDocs_; ++d) {
-        const Document doc =
-            corpus.document(d * take_stride + take_offset);
+        const Document doc = corpus.document(partition_.global(d));
         docLen_[d] = static_cast<uint32_t>(doc.terms.size());
         total_len += doc.terms.size();
         for (const TermId t : doc.terms)

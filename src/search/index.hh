@@ -45,6 +45,19 @@ struct TermInfo
     uint32_t maxTf = 0;
 };
 
+/**
+ * Which documents of a corpus a shard holds: local doc d is global
+ * doc d * stride + offset. (1, 0) is the whole corpus.
+ */
+struct DocPartition
+{
+    uint32_t stride = 1;
+    uint32_t offset = 0;
+
+    bool identity() const { return stride == 1 && offset == 0; }
+    DocId global(DocId local) const { return local * stride + offset; }
+};
+
 /** Abstract shard interface used by the query executor. */
 class IndexShard
 {
@@ -104,6 +117,10 @@ class IndexShard
     {
         return PostingCodec::kVarint;
     }
+
+    /** The global ids of this shard's documents (identity unless the
+     *  shard was built from a partition of its corpus). */
+    virtual DocPartition partition() const { return {}; }
 };
 
 /** Real inverted index built from a corpus. */
@@ -118,9 +135,8 @@ class MaterializedIndex : public IndexShard
     /**
      * Build a shard holding the strided partition of @p corpus:
      * global documents take_offset, take_offset + take_stride, ...
-     * become local docs 0, 1, ... -- the inverse of LeafServer's
-     * docIdStride/docIdOffset mapping, so a leaf configured with the
-     * same (stride, offset) returns global ids. BM25 statistics
+     * become local docs 0, 1, ..., and partition() maps them back, so
+     * a leaf over the shard returns global ids. BM25 statistics
      * (docFreq, avgDocLen) are shard-local, as in a real partitioned
      * fleet.
      */
@@ -149,10 +165,10 @@ class MaterializedIndex : public IndexShard
     bool postingView(TermId term, PostingView &out) const override;
     uint64_t shardBytes() const override { return shardBytes_; }
     PostingCodec codec() const override { return codec_; }
+    DocPartition partition() const override { return partition_; }
 
   private:
-    void build(const CorpusGenerator &corpus, uint32_t take_stride,
-               uint32_t take_offset);
+    void build(const CorpusGenerator &corpus);
 
     struct TermData
     {
@@ -164,6 +180,7 @@ class MaterializedIndex : public IndexShard
     std::vector<uint32_t> docLen_;
     std::vector<double> lengthNorms_;
     PostingCodec codec_ = PostingCodec::kVarint;
+    DocPartition partition_;
     uint32_t numDocs_ = 0;
     double avgDocLen_ = 0;
     uint64_t shardBytes_ = 0;

@@ -7,7 +7,7 @@ namespace wsearch {
 
 LeafServer::LeafServer(const IndexShard &shard, const Config &cfg,
                        TouchSink *sink)
-    : shard_(&shard), cfg_(cfg)
+    : shard_(&shard), partition_(shard.partition()), cfg_(cfg)
 {
     wsearch_assert(cfg.numThreads >= 1);
     TouchSink *effective = sink ? sink : &nullSink_;
@@ -23,9 +23,6 @@ LeafServer::LeafServer(std::shared_ptr<const IndexSnapshot> snapshot,
 {
     wsearch_assert(cfg.numThreads >= 1);
     wsearch_assert(snapshot_ != nullptr);
-    // Live segments hold global doc ids already; a stride would remap
-    // them into nonsense.
-    wsearch_assert(cfg.docIdStride == 1 && cfg.docIdOffset == 0);
     TouchSink *effective = sink ? sink : &nullSink_;
     for (uint32_t t = 0; t < cfg.numThreads; ++t) {
         searchers_.push_back(std::make_unique<SnapshotSearcher>(
@@ -53,9 +50,9 @@ LeafServer::serve(uint32_t tid, const SearchRequest &req)
     } else {
         wsearch_assert(tid < executors_.size());
         resp = executors_[tid]->execute(req);
-        if (cfg_.docIdStride != 1 || cfg_.docIdOffset != 0) {
+        if (!partition_.identity()) {
             for (auto &r : resp.docs)
-                r.doc = r.doc * cfg_.docIdStride + cfg_.docIdOffset;
+                r.doc = partition_.global(r.doc);
         }
     }
     queriesServed_.fetch_add(1, std::memory_order_relaxed);

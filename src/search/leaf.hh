@@ -61,13 +61,6 @@ class LeafServer
          *  part of the Figure 4 heap accounting. */
         uint64_t perThreadBufferBytes = 24ull << 20;
         uint64_t codeBytes = 4ull << 20;
-        /**
-         * Doc ids returned are local * docIdStride + docIdOffset so
-         * multiple leaves can serve disjoint partitions of a global
-         * document space.
-         */
-        uint32_t docIdStride = 1;
-        uint32_t docIdOffset = 0;
         /** Time source for mid-query deadline polls (null = steady
          *  clock; tests inject a SimClock). */
         const Clock *clock = nullptr;
@@ -83,8 +76,8 @@ class LeafServer
 
     /**
      * Live leaf serving @p snapshot (never null; LiveIndex::snapshot()
-     * provides an empty version-0 view). Live leaves hold global doc
-     * ids already, so cfg.docIdStride/Offset must be identity.
+     * provides an empty version-0 view). Live segments hold global doc
+     * ids already.
      */
     LeafServer(std::shared_ptr<const IndexSnapshot> snapshot,
                const Config &cfg, TouchSink *sink = nullptr);
@@ -154,6 +147,9 @@ class LeafServer
 
   private:
     const IndexShard *shard_; ///< null in live mode
+    /** shard_'s doc-id partition, read once at construction
+     *  (identity in live mode). */
+    DocPartition partition_;
     Config cfg_;
     NullTouchSink nullSink_;
     std::vector<std::unique_ptr<QueryExecutor>> executors_;

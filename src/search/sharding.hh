@@ -2,11 +2,12 @@
  * @file
  * Sharded index build: partition one corpus into S disjoint
  * MaterializedIndex shards by doc-id stride (shard s holds global
- * documents s, s + S, s + 2S, ...). Each shard's leaf is configured
- * with the matching docIdStride/docIdOffset so results carry global
- * document ids and a root merge over all shards covers the whole
- * corpus exactly once -- the paper Figure 1 partitioning, buildable
- * at any fan-out.
+ * documents s, s + S, s + 2S, ...). Each shard maps its local ids
+ * back to global ones (IndexShard::partition), so a leaf over any
+ * shard returns global document ids and a root merge over all shards
+ * covers the whole corpus exactly once, in whatever order the shards
+ * are served -- the paper Figure 1 partitioning, buildable at any
+ * fan-out.
  */
 
 #ifndef WSEARCH_SEARCH_SHARDING_HH
@@ -18,7 +19,6 @@
 
 #include "search/corpus.hh"
 #include "search/index.hh"
-#include "search/leaf.hh"
 
 namespace wsearch {
 
@@ -37,18 +37,6 @@ struct ShardedIndex
 
     /** Non-owning shard pointers (ClusterServer's ctor shape). */
     std::vector<const IndexShard *> shardPtrs() const;
-
-    /**
-     * Leaf config for shard @p s: @p base with docIdStride/docIdOffset
-     * set so served doc ids are global.
-     */
-    LeafServer::Config
-    leafConfig(uint32_t s, LeafServer::Config base = {}) const
-    {
-        base.docIdStride = numShards();
-        base.docIdOffset = s;
-        return base;
-    }
 };
 
 /**

@@ -79,15 +79,6 @@ ClusterServer::buildShards(
     for (uint32_t s = 0; s < num_shards; ++s) {
         auto state = std::make_unique<ShardState>();
         LeafWorkerPool::Config pc = cfg_.pool;
-        if (shards.empty()) {
-            // Live segments carry global doc ids; identity mapping.
-            pc.leaf.docIdStride = 1;
-            pc.leaf.docIdOffset = 0;
-        } else {
-            // Shard s serves global docs s, s + S, ...
-            pc.leaf.docIdStride = num_shards;
-            pc.leaf.docIdOffset = s;
-        }
         pc.shardId = s;
         if (cfg_.clock)
             pc.clock = cfg_.clock;

@@ -64,9 +64,8 @@ struct ClusterConfig
 {
     /** Replica pools per shard (>= 2 for hedging to have a target). */
     uint32_t replicasPerShard = 1;
-    /** Per-replica pool config; leaf docIdStride/docIdOffset are
-     *  overwritten per shard so results carry global doc ids, and
-     *  shardId/replicaId with the replica's cluster coordinates. */
+    /** Per-replica pool config; shardId/replicaId are overwritten
+     *  with the replica's cluster coordinates. */
     LeafWorkerPool::Config pool;
     /** Per-query budget (ns; 0 = wait for every shard, no deadline). */
     uint64_t deadlineNs = 50'000'000;

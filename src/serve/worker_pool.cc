@@ -16,29 +16,6 @@ leafConfigFor(const LeafWorkerPool::Config &cfg)
 }
 
 /**
- * Lock stripes for the cache tier: the smallest power of two >=
- * numWorkers, capped at 16 -- enough that concurrent admissions on
- * distinct queries take distinct locks -- then clamped so a non-zero
- * capacity funds every stripe with at least one entry: capacity
- * splits evenly across stripes, and a segment that rounded down to
- * zero entries would shed its whole hash class to miss even though
- * the configured total capacity is positive.
- */
-size_t
-stripeCountFor(const LeafWorkerPool::Config &cfg)
-{
-    const size_t want =
-        std::min<size_t>(16, std::max<uint32_t>(1, cfg.numWorkers));
-    size_t n = 1;
-    while (n < want)
-        n *= 2;
-    if (cfg.cacheCapacity > 0)
-        while (n > cfg.cacheCapacity)
-            n /= 2;
-    return n;
-}
-
-/**
  * Model a corrupted/truncated leaf response: the tail is lost and
  * what remains arrives out of order. The root's merge must cope (it
  * re-sorts and dedups), so a corrupt reply degrades result quality
@@ -56,8 +33,7 @@ corruptReply(std::vector<ScoredDoc> &docs)
 LeafWorkerPool::LeafWorkerPool(const IndexShard &shard,
                                const Config &cfg)
     : cfg_(cfg), leaf_(shard, leafConfigFor(cfg)),
-      queue_(cfg.queueCapacity),
-      cache_(cfg.cacheCapacity, stripeCountFor(cfg))
+      queue_(cfg.queueCapacity), cache_(cfg.cacheCapacity)
 {
     startWorkers();
 }
@@ -65,8 +41,7 @@ LeafWorkerPool::LeafWorkerPool(const IndexShard &shard,
 LeafWorkerPool::LeafWorkerPool(
     std::shared_ptr<const IndexSnapshot> snapshot, const Config &cfg)
     : cfg_(cfg), leaf_(std::move(snapshot), leafConfigFor(cfg)),
-      queue_(cfg.queueCapacity),
-      cache_(cfg.cacheCapacity, stripeCountFor(cfg))
+      queue_(cfg.queueCapacity), cache_(cfg.cacheCapacity)
 {
     startWorkers();
 }
@@ -138,9 +113,14 @@ LeafWorkerPool::enqueue(ServeRequest &&req, bool block)
     }
 
     if (cfg_.cacheCapacity > 0) {
+        // A hit's sample is its lock-to-answer latency.
         std::vector<ScoredDoc> hit_results;
+        const uint64_t t0 = clk.now();
+        std::unique_lock<std::mutex> lk(cacheMu_);
         if (cache_.lookup(req.request.query.id,
-                          req.done ? &hit_results : nullptr, &clk)) {
+                          req.done ? &hit_results : nullptr)) {
+            cacheHitNs_.record(clk.now() - t0);
+            lk.unlock();
             ++cacheHits_;
             finish(req, std::move(hit_results), ServeOutcome::Ok,
                    leaf_.currentVersion());
@@ -253,8 +233,10 @@ LeafWorkerPool::serveOne(uint32_t worker_id, ServeRequest &req,
 
     // Never cache a degraded page: the next asker deserves the full
     // answer, not whatever a deadline-clipped run salvaged.
-    if (cfg_.cacheCapacity > 0 && !resp.degraded)
+    if (cfg_.cacheCapacity > 0 && !resp.degraded) {
+        std::lock_guard<std::mutex> lk(cacheMu_);
         cache_.insert(req.request.query.id, resp.docs);
+    }
     {
         std::lock_guard<std::mutex> lk(slot.mu);
         ++slot.counters.served;
@@ -326,10 +308,10 @@ LeafWorkerPool::snapshot() const
         s.serviceNs.merge(slot->serviceNs);
         s.sojournNs.merge(slot->sojournNs);
     }
-    const StripedQueryCache::Totals cache_totals = cache_.totals();
-    s.cacheLookups = cache_totals.lookups;
-    s.cacheEvictions = cache_totals.evictions;
-    s.cacheHitNs = cache_.hitHistogram();
+    std::lock_guard<std::mutex> lk(cacheMu_);
+    s.cacheLookups = cache_.lookups();
+    s.cacheEvictions = cache_.evictions();
+    s.cacheHitNs = cacheHitNs_;
     return s;
 }
 

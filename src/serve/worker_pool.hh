@@ -11,9 +11,9 @@
  *    thread id of a shared LeafServer -- i.e. a per-thread
  *    QueryExecutor with tid-tagged scratch over one shared IndexShard,
  *    exactly the paper's SMT co-location model;
- *  - the query-result cache tier (the paper Figure 1 cache tier,
- *    lock-striped into hash-partitioned segments) sitting in front of
- *    the queue, so popular queries never occupy a worker;
+ *  - the query-result cache tier (the paper Figure 1 cache tier):
+ *    one LRU of the configured capacity behind one mutex, sitting in
+ *    front of the queue, so popular queries never occupy a worker;
  *  - per-worker latency histograms and counters, each worker's behind
  *    its own lock, merged into a ServeSnapshot that is safe to take
  *    mid-traffic.
@@ -35,13 +35,13 @@
 #include <thread>
 #include <vector>
 
+#include "search/cache_server.hh"
 #include "search/leaf.hh"
 #include "search/query.hh"
 #include "serve/bounded_queue.hh"
 #include "serve/clock.hh"
 #include "serve/fault.hh"
 #include "serve/serve_stats.hh"
-#include "serve/striped_cache.hh"
 
 namespace wsearch {
 
@@ -102,17 +102,8 @@ class LeafWorkerPool
     {
         uint32_t numWorkers = 2;
         size_t queueCapacity = 1024;
-        /**
-         * Query-result cache entries in front of the queue (0 off).
-         * Since the tier is lock-striped (numWorkers rounded up to a
-         * power of two, at most 16 and at most the capacity), capacity
-         * is PARTITIONED across stripes (capacity / stripes per
-         * segment), not pooled
-         * in one global LRU: a hot segment evicts at its own share
-         * while cold segments sit underfull, so heavily skewed query
-         * mixes can see a lower hit rate than a single LRU of the
-         * same total capacity would give.
-         */
+        /** Query-result cache entries in front of the queue (0 off):
+         *  one LRU of this capacity shared by every worker. */
         size_t cacheCapacity = 0;
         /**
          * Background-interference model ("The Tail at Scale"): every
@@ -205,10 +196,6 @@ class LeafWorkerPool
     /** Instantaneous queue depth (for load-generator sampling). */
     size_t queueDepth() const { return queue_.depth(); }
 
-    /** Resolved cache-tier stripe count after the capacity clamp
-     *  (tests / observability). */
-    size_t cacheStripeCount() const { return cache_.stripeCount(); }
-
     /** Merged counters + histograms; callable while traffic runs. */
     ServeSnapshot snapshot() const;
 
@@ -265,8 +252,11 @@ class LeafWorkerPool
     std::vector<std::unique_ptr<WorkerSlot>> slots_;
     std::vector<std::thread> threads_;
 
-    // Cache tier (front of the queue), lock-striped by query id.
-    StripedQueryCache cache_;
+    // Cache tier (front of the queue). cacheMu_ guards the LRU and
+    // its hit-latency histogram.
+    mutable std::mutex cacheMu_;
+    QueryCacheServer cache_;
+    LatencyHistogram cacheHitNs_;
 
     // Admission outcomes. submitted is not stored: snapshot() derives
     // it as their sum, so the admission identity holds at any instant.

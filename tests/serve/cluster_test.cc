@@ -48,7 +48,7 @@ serialReference(const ShardedIndex &si, const Query &q)
 {
     std::vector<std::vector<ScoredDoc>> partials;
     for (uint32_t s = 0; s < si.numShards(); ++s) {
-        LeafServer leaf(si.shard(s), si.leafConfig(s));
+        LeafServer leaf(si.shard(s), LeafServer::Config{});
         partials.push_back(leaf.serve(0, asRequest(q)).docs);
     }
     return RootServer::merge(partials, q.topK);
@@ -66,8 +66,12 @@ TEST(Sharding, PartitionIsDisjointAndComplete)
     // Shard s, local doc d holds global doc d * 4 + s: spot-check the
     // doc lengths against the corpus.
     for (uint32_t s = 0; s < 4; ++s) {
+        const DocPartition part = si.shard(s).partition();
+        EXPECT_EQ(part.stride, 4u);
+        EXPECT_EQ(part.offset, s);
         for (DocId d = 0; d < 3; ++d) {
             const Document doc = corpus.document(d * 4 + s);
+            EXPECT_EQ(part.global(d), d * 4 + s);
             EXPECT_EQ(si.shard(s).docLen(d), doc.terms.size());
         }
     }
@@ -108,6 +112,40 @@ TEST(ClusterServer, FullCoverageMatchesSerialReference)
     EXPECT_DOUBLE_EQ(snap.meanCoverage(), 1.0);
     EXPECT_EQ(snap.queryNs.count(), 60u);
     EXPECT_EQ(snap.shardNs.count(), 240u);
+}
+
+/** Each shard maps its own local ids to global ones, so the order in
+ *  which a cluster is handed its shards cannot change a page. */
+TEST(ClusterServer, ShardOrderDoesNotChangePages)
+{
+    const CorpusGenerator corpus(testCorpusConfig());
+    const ShardedIndex si = buildShardedIndex(corpus, 2);
+    std::vector<const IndexShard *> reversed = si.shardPtrs();
+    std::reverse(reversed.begin(), reversed.end());
+
+    ClusterConfig cc;
+    cc.pool.numWorkers = 1;
+    cc.deadlineNs = 0; // wait for every shard
+    ClusterServer in_order(si.shardPtrs(), cc);
+    ClusterServer swapped(reversed, cc);
+
+    QueryGenerator gen(testTraffic());
+    for (uint32_t i = 0; i < 50; ++i) {
+        const Query q = gen.next();
+        const ClusterResult want = in_order.handle(asRequest(q));
+        const ClusterResult got = swapped.handle(asRequest(q));
+        ASSERT_EQ(want.page.shardsAnswered, 2u) << "query " << i;
+        ASSERT_EQ(got.page.shardsAnswered, 2u) << "query " << i;
+        ASSERT_EQ(got.page.docs.size(), want.page.docs.size())
+            << "query " << i;
+        for (size_t r = 0; r < want.page.docs.size(); ++r) {
+            EXPECT_EQ(got.page.docs[r].doc, want.page.docs[r].doc)
+                << "query " << i << " rank " << r;
+            EXPECT_FLOAT_EQ(got.page.docs[r].score,
+                            want.page.docs[r].score)
+                << "query " << i << " rank " << r;
+        }
+    }
 }
 
 TEST(ClusterServer, CachedPagesMatchSerialReference)

@@ -430,7 +430,7 @@ TEST(FaultSchedule, CorruptedReplyTruncatesButStaysValid)
 
     const Query q = testQuery(401);
     // Reference: the same shard served without faults.
-    LeafServer reference(si.shard(0), si.leafConfig(0));
+    LeafServer reference(si.shard(0), LeafServer::Config{});
     const std::vector<ScoredDoc> full =
         reference.serve(0, asRequest(q)).docs;
     ASSERT_GE(full.size(), 2u);

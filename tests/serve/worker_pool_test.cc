@@ -156,23 +156,36 @@ TEST(LeafWorkerPool, CacheTierAnswersRepeats)
     EXPECT_EQ(s.cacheHits, 1u);
     EXPECT_EQ(s.cacheHitNs.count(), 1u);
     EXPECT_TRUE(s.consistent());
-}
 
-/** A small cache must not be split so fine that stripes round down
- *  to zero entries: stripe resolution clamps to the capacity. */
-TEST(LeafWorkerPool, CacheStripesClampedToCapacity)
-{
-    LeafWorkerPool::Config pc;
-    pc.numWorkers = 8; // one stripe per worker would be 8
-    pc.cacheCapacity = 3;
-    LeafWorkerPool pool(testIndex(), pc);
-    EXPECT_EQ(pool.cacheStripeCount(), 2u); // pow2 <= capacity
-
-    // Zero capacity (tier off): no clamp, uniform shed-to-miss.
-    LeafWorkerPool::Config offPc;
-    offPc.numWorkers = 4;
-    LeafWorkerPool offPool(testIndex(), offPc);
-    EXPECT_EQ(offPool.cacheStripeCount(), 4u);
+    // The tier is one LRU of its configured capacity, however many
+    // workers share it: 64 distinct ids fit a 64-entry tier on 8
+    // workers, so every repeat hits and nothing is evicted.
+    LeafWorkerPool::Config wide = pc;
+    wide.numWorkers = 8;
+    LeafWorkerPool widePool(testIndex(), wide);
+    std::vector<Query> distinct;
+    for (uint64_t id = 1; id <= wide.cacheCapacity; ++id) {
+        Query dq = gen.next();
+        dq.id = id;
+        distinct.push_back(dq);
+    }
+    for (const Query &dq : distinct) {
+        auto reply = std::make_shared<
+            std::promise<std::vector<ScoredDoc>>>();
+        auto fut = reply->get_future();
+        EXPECT_EQ(widePool.submit(asRequest(dq), /*block=*/true,
+                                  std::move(reply)),
+                  LeafWorkerPool::Admit::Accepted);
+        fut.get(); // the worker caches the page before it answers
+    }
+    for (const Query &dq : distinct)
+        EXPECT_EQ(widePool.submit(asRequest(dq), /*block=*/true),
+                  LeafWorkerPool::Admit::CacheHit)
+            << "query id " << dq.id;
+    const ServeSnapshot ws = widePool.snapshot();
+    EXPECT_EQ(ws.cacheHits, wide.cacheCapacity);
+    EXPECT_EQ(ws.cacheEvictions, 0u);
+    EXPECT_TRUE(ws.consistent());
 }
 
 TEST(LeafWorkerPool, ShedFulfillsReplyEmpty)
